@@ -1,71 +1,43 @@
 //! Run-export diff tool and regression gate.
 //!
-//! `mmm-inspect` loads two run exports — report JSONL
-//! (`results/<bin>.jsonl`), metrics time-series JSONL
-//! (`results/<bin>.metrics.jsonl`), or a `BENCH_hotloop.json` perf
-//! baseline — flattens each into `metric -> number`, and diffs them
-//! with a configurable relative threshold:
+//! `mmm-inspect` loads two run exports of the same kind, flattens each
+//! into rows of `(metric, value, gate)`, and diffs them:
 //!
 //! ```text
-//! mmm-inspect A.json B.json [--threshold 0.15] [--only SUBSTR]...
+//! mmm-inspect A B [--threshold 0.15] [--only SUBSTR]...
 //!             [--direction both|down|up] [--json] [--force]
-//! mmm-inspect profile A.json B.json [--threshold 5] [--json] [--force]
-//! mmm-inspect campaign A.json B.json [--threshold 0] [--json] [--force]
-//! mmm-inspect faults A.json B.json [--threshold 0.05] [--json] [--force]
+//! mmm-inspect profile A B [--threshold 5] [...]
+//! mmm-inspect campaign A B [--threshold 0] [...]
+//! mmm-inspect faults A B [--threshold 0.05] [...]
 //! ```
 //!
-//! The `profile` mode diffs the self-profiler's phase shares between
-//! two profiled exports (`BENCH_*.json` files carrying a `profile`
-//! section, written under `MMM_PROFILE=1`). Shares are percentages of
-//! the measured window, so the threshold is in percentage *points*
-//! (default 5): a phase whose share moves from 30% to 37% crosses a
-//! 5-point gate and exits 1, like the perf gate. Wheel introspection
-//! counters (wake hits, skip efficiency) are shown but not gated.
+//! | Mode | Files | Gated rows | Default threshold |
+//! |---|---|---|---|
+//! | (none) | report JSONL (`results/<bin>.jsonl`) or metrics series (`results/<bin>.metrics.jsonl`), detected from the first line | every metric, on its relative change | 0.15 (15%) |
+//! | `profile` | `results/<bin>.profile.json` (written under `MMM_PROFILE=1`) | phase shares, on their change in percentage points; `wheel.*` introspection is shown ungated | 5 points |
+//! | `campaign` | `aggregate.json` from `mmm-campaign` | per-cell summaries, Pareto membership (0/1) and the merged registry, on their relative change | 0: aggregates are deterministic, so any drift fails |
+//! | `faults` | `results/<bin>.faults.jsonl` (written under `MMM_FORENSICS=1`) | per-site outcome shares, on their change in points; counts and detection-latency percentiles are shown ungated | 0.05 |
 //!
-//! The `campaign` mode diffs two `aggregate.json` campaign exports
-//! (written by `mmm-campaign`): per-cell summaries, Pareto membership,
-//! and the lossless merged metrics registry all flatten into the
-//! comparison. Campaign aggregates are deterministic by construction,
-//! so the default threshold is **0** — any difference at all trips the
-//! gate. CI uses this to prove the kill/resume keystone: an
-//! interrupted-then-resumed campaign must match an uninterrupted one
-//! exactly.
+//! Every row carries one of three gates: *relative* (`(b - a) / a`
+//! against the threshold), *points* (`b - a` against the threshold) or
+//! *ungated* (`b - a` shown, never failing). Metrics present in only
+//! one file are skipped, not compared against zero, and counted in the
+//! trailing `compared N metrics, skipped M absent-in-one-side` line, so
+//! a diff of disjoint files reports itself instead of passing
+//! vacuously.
 //!
-//! The `faults` mode diffs two fault-forensics exports
-//! (`results/<bin>.faults.jsonl`, written under `MMM_FORENSICS=1`):
-//! per-site outcome *distributions* (the share of each site's records
-//! landing on each verdict) are gated on their absolute point delta —
-//! the default threshold is 0.05, i.e. five percentage points of
-//! outcome share — while detection-latency percentiles (p50/p99/mean,
-//! per verdict) and raw counts are shown ungated. A coverage
-//! regression (say, `tlb_permission` escapes growing from 10% to 20%
-//! of injections) exits 1.
-//!
-//! Every mode ends with a trailing summary line, `compared N metrics,
-//! skipped M absent-in-one-side`: metric names present in only one of
-//! the two files are *skipped*, not compared against zero, and a diff
-//! of files with disjoint metric sets reports itself instead of
-//! passing silently as vacuous.
-//!
-//! The two files must be the same kind and describe comparable runs:
-//! the identity block (config, benchmark, scheduler, thread count;
-//! cycle budgets for bench baselines) must match or the tool refuses
-//! with exit code 2 (`--force` compares anyway). Host-dependent fields
-//! (wall seconds, cycles/sec, timestamp, host) are excluded from the
-//! default comparison; select them explicitly with `--only`, which
+//! The two files must describe comparable runs: the identity block
+//! (config, benchmark, scheduler, thread count and cycles for reports;
+//! the campaign name, manifest hash and completion for campaigns; ...)
+//! must match or the tool refuses with exit code 2 (`--force` compares
+//! anyway). Host-dependent metrics (wall seconds, cycles/sec,
+//! timestamp, host) are left out unless `--only` names them; `--only`
 //! restricts the comparison to metrics containing a given substring.
 //!
 //! `--direction down` fails only on decreases, `up` only on increases
 //! (`both`, the default, gates the absolute change). Exit codes: 0 —
-//! no compared metric crossed the threshold; 1 — at least one did;
-//! 2 — unusable input or identity mismatch.
-//!
-//! CI uses this as the perf regression gate:
-//!
-//! ```text
-//! mmm-inspect baseline/BENCH_hotloop.json BENCH_hotloop.json \
-//!     --only sim_cycles_per_sec --direction down --threshold 0.15
-//! ```
+//! no gated metric crossed the threshold; 1 — at least one did; 2 —
+//! unusable input or identity mismatch.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -76,12 +48,87 @@ use mmm_trace::Json;
 /// Which way a change must point to trip the gate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Direction {
-    /// Gate on the absolute relative change.
+    /// Gate on the absolute change.
     Both,
     /// Gate on decreases only (e.g. throughput regressions).
     Down,
     /// Gate on increases only (e.g. latency regressions).
     Up,
+}
+
+impl Direction {
+    fn name(self) -> &'static str {
+        match self {
+            Direction::Both => "both",
+            Direction::Down => "down",
+            Direction::Up => "up",
+        }
+    }
+
+    fn crosses(self, delta: f64, threshold: f64) -> bool {
+        match self {
+            Direction::Both => delta.abs() > threshold,
+            Direction::Down => delta < -threshold,
+            Direction::Up => delta > threshold,
+        }
+    }
+}
+
+/// The kind of export a file holds; `profile`, `campaign` and `faults`
+/// are named on the command line, the other two are detected.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// Per-seed `SystemReport` lines (`results/<bin>.jsonl`).
+    Report,
+    /// A sampled metrics time-series (`results/<bin>.metrics.jsonl`).
+    Series,
+    /// Self-profiler phase shares (`results/<bin>.profile.json`).
+    Profile,
+    /// A campaign aggregate (`aggregate.json`).
+    Campaign,
+    /// A fault-forensics export (`results/<bin>.faults.jsonl`).
+    Faults,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Report => "report",
+            Kind::Series => "metrics-series",
+            Kind::Profile => "profile",
+            Kind::Campaign => "campaign",
+            Kind::Faults => "faults",
+        }
+    }
+
+    /// Threshold when `--threshold` is not given, in the unit of the
+    /// kind's gated rows.
+    fn default_threshold(self) -> f64 {
+        match self {
+            Kind::Report | Kind::Series => 0.15,
+            Kind::Profile => 5.0,
+            Kind::Campaign => 0.0,
+            Kind::Faults => 0.05,
+        }
+    }
+
+    /// Whether a metric that is zero in both files drops out of the
+    /// comparison. Fault rows keep it: a zero detection latency on
+    /// both sides is a compared, unmoved row.
+    fn drops_zero_pairs(self) -> bool {
+        self != Kind::Faults
+    }
+}
+
+/// How a row's change is judged against the threshold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Gate {
+    /// Relative change `(b - a) / a`; ±inf when `a` is 0.
+    Relative,
+    /// Absolute change `b - a`, in the metric's own points.
+    Points,
+    /// Absolute change `b - a`, shown but never gated.
+    Ungated,
 }
 
 /// Parsed command line.
@@ -90,10 +137,10 @@ struct Options {
     a: String,
     /// Candidate export path.
     b: String,
-    /// Relative-change threshold (0.15 = 15%); in `profile` mode,
-    /// percentage points of phase share; in `faults` mode, points of
-    /// outcome share.
-    threshold: f64,
+    /// Named mode; `None` detects report vs metrics series.
+    mode: Option<Kind>,
+    /// `--threshold`, when given (else the kind's default).
+    threshold: Option<f64>,
     /// Substring filters; empty means "every default metric".
     only: Vec<String>,
     /// Gated direction.
@@ -102,16 +149,6 @@ struct Options {
     json: bool,
     /// Compare even when the identity blocks differ.
     force: bool,
-    /// `profile` mode: diff self-profiler phase shares instead of
-    /// simulated metrics.
-    profile: bool,
-    /// `campaign` mode: diff two campaign aggregates exactly.
-    campaign: bool,
-    /// `faults` mode: diff two fault-forensics exports.
-    faults: bool,
-    /// Whether `--threshold` appeared (the profile-, campaign-, and
-    /// faults-mode defaults differ from the metric-mode default).
-    threshold_set: bool,
 }
 
 fn usage() -> String {
@@ -125,40 +162,33 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         a: String::new(),
         b: String::new(),
-        threshold: 0.15,
+        mode: None,
+        threshold: None,
         only: Vec::new(),
         direction: Direction::Both,
         json: false,
         force: false,
-        profile: false,
-        campaign: false,
-        faults: false,
-        threshold_set: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |flag: &str| {
+            it.next()
+                .ok_or_else(|| format!("{flag} needs a value"))
+                .cloned()
+        };
         match arg.as_str() {
             "--threshold" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--threshold needs a value".to_string())?;
-                opts.threshold = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| format!("bad threshold {v:?}"))?;
-                opts.threshold_set = true;
+                let v = value("--threshold")?;
+                opts.threshold = Some(
+                    v.parse::<f64>()
+                        .ok()
+                        .filter(|t| t.is_finite() && *t >= 0.0)
+                        .ok_or_else(|| format!("bad threshold {v:?}"))?,
+                );
             }
-            "--only" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--only needs a value".to_string())?;
-                opts.only.push(v.clone());
-            }
+            "--only" => opts.only.push(value("--only")?),
             "--direction" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--direction needs a value".to_string())?;
+                let v = value("--direction")?;
                 opts.direction = match v.as_str() {
                     "both" => Direction::Both,
                     "down" => Direction::Down,
@@ -172,104 +202,33 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other:?}\n{}", usage()))
             }
-            "profile" if paths.is_empty() && !opts.profile && !opts.campaign && !opts.faults => {
-                opts.profile = true
-            }
-            "campaign" if paths.is_empty() && !opts.profile && !opts.campaign && !opts.faults => {
-                opts.campaign = true
-            }
-            "faults" if paths.is_empty() && !opts.profile && !opts.campaign && !opts.faults => {
-                opts.faults = true
+            mode @ ("profile" | "campaign" | "faults")
+                if paths.is_empty() && opts.mode.is_none() =>
+            {
+                opts.mode = Some(match mode {
+                    "profile" => Kind::Profile,
+                    "campaign" => Kind::Campaign,
+                    _ => Kind::Faults,
+                });
             }
             other => paths.push(other.to_string()),
         }
     }
-    if paths.len() != 2 {
-        return Err(usage());
-    }
-    opts.a = paths.remove(0);
-    opts.b = paths.remove(0);
-    if opts.profile && !opts.threshold_set {
-        // Phase shares are percentages; gate on points, not ratios.
-        opts.threshold = 5.0;
-    }
-    if opts.campaign && !opts.threshold_set {
-        // Aggregates are deterministic; any drift is a failure.
-        opts.threshold = 0.0;
-    }
-    if opts.faults && !opts.threshold_set {
-        // Outcome shares are fractions; five points of drift gates.
-        opts.threshold = 0.05;
-    }
+    let [a, b] = <[String; 2]>::try_from(paths).map_err(|_| usage())?;
+    opts.a = a;
+    opts.b = b;
     Ok(opts)
 }
 
-/// The kind of export a file holds, detected from its first line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    /// Per-seed `SystemReport` lines (`results/<bin>.jsonl`).
-    Report,
-    /// A `BENCH_hotloop.json` perf-baseline line.
-    Bench,
-    /// A sampled metrics time-series (`results/<bin>.metrics.jsonl`).
-    Series,
-    /// Self-profiler phase shares (`profile` mode).
-    Profile,
-    /// A campaign aggregate (`campaign` mode).
-    Campaign,
-    /// A fault-forensics export (`faults` mode).
-    Faults,
-}
-
-impl Kind {
-    fn name(self) -> &'static str {
-        match self {
-            Kind::Report => "report",
-            Kind::Bench => "bench",
-            Kind::Series => "metrics-series",
-            Kind::Profile => "profile",
-            Kind::Campaign => "campaign",
-            Kind::Faults => "faults",
-        }
-    }
-}
+/// Flattened metrics of one export: name -> (value, gate).
+type Rows = BTreeMap<String, (f64, Gate)>;
 
 /// One loaded export: its kind, the identity block that must match for
-/// two files to be comparable, and the flattened numeric metrics.
+/// two files to be comparable, and its rows.
 struct RunFile {
     kind: Kind,
     identity: Vec<(String, String)>,
-    metrics: BTreeMap<String, f64>,
-}
-
-fn load(path: &str) -> Result<RunFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let lines: Vec<Json> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| Json::parse(l).map_err(|e| format!("{path}: {e}")))
-        .collect::<Result<_, _>>()?;
-    let first = lines.first().ok_or_else(|| format!("{path}: empty file"))?;
-    let kind = if first.get("bench").is_some() {
-        Kind::Bench
-    } else if first.get("interval").is_some() && first.get("samples").is_some() {
-        Kind::Series
-    } else if first.get("metrics").is_some() {
-        Kind::Report
-    } else {
-        return Err(format!("{path}: not a recognised run export"));
-    };
-    match kind {
-        Kind::Bench => bench_file(path, &lines),
-        Kind::Report => report_file(path, &lines),
-        Kind::Series => series_file(path, &lines),
-        // `profile` / `campaign` / `faults` modes bypass `load`
-        // entirely (see `load_profile` / `load_campaign` /
-        // `load_faults`).
-        Kind::Profile | Kind::Campaign | Kind::Faults => {
-            unreachable!("detection never yields these")
-        }
-    }
+    rows: Rows,
 }
 
 fn ident_str(v: Option<&Json>) -> String {
@@ -280,56 +239,74 @@ fn ident_str(v: Option<&Json>) -> String {
     }
 }
 
-fn bench_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
-    if lines.len() != 1 {
-        return Err(format!(
-            "{path}: expected one bench line, got {}",
-            lines.len()
-        ));
-    }
-    let line = &lines[0];
-    let identity = [
-        "bench",
-        "config",
-        "benchmark",
-        "warmup_cycles",
-        "measured_cycles",
-    ]
-    .iter()
-    .map(|k| (k.to_string(), ident_str(line.get(k))))
-    .collect();
-    let mut metrics = BTreeMap::new();
-    for (k, v) in line.as_obj().unwrap_or(&[]) {
-        if let Some(n) = v.as_f64() {
-            metrics.insert(k.clone(), n);
-        }
-    }
-    Ok(RunFile {
-        kind: Kind::Bench,
-        identity,
-        metrics,
-    })
+/// The identity block: `keys` read from `doc`, each prefixed.
+fn identity_of(doc: &Json, prefix: &str, keys: &[&str]) -> Vec<(String, String)> {
+    keys.iter()
+        .map(|k| (format!("{prefix}{k}"), ident_str(doc.get(k))))
+        .collect()
 }
 
+/// Every numeric member of `doc[group]`, as `(name, value)`.
+fn numbers<'a>(doc: &'a Json, group: &str) -> impl Iterator<Item = (&'a String, f64)> {
+    doc.get(group)
+        .and_then(Json::as_obj)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|(name, v)| Some((name, v.as_f64()?)))
+}
+
+/// Parses every non-blank line of `text` as one JSON document.
+fn parse_lines(path: &str, text: &str) -> Result<Vec<Json>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, l)| Json::parse(l).map_err(|e| format!("{path}:{}: {e}", i + 1)))
+        .collect()
+}
+
+fn load(path: &str, mode: Option<Kind>) -> Result<RunFile, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    if mode == Some(Kind::Campaign) {
+        let doc = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
+        return campaign_file(path, &doc);
+    }
+    let lines = parse_lines(path, &text)?;
+    let first = lines.first().ok_or_else(|| format!("{path}: empty file"))?;
+    match mode {
+        Some(Kind::Profile) => profile_file(path, first),
+        Some(Kind::Faults) => faults_file(path, &lines),
+        _ if first.get("interval").is_some() && first.get("samples").is_some() => {
+            series_file(path, &lines)
+        }
+        _ if first.get("metrics").is_some() => report_file(path, &lines),
+        _ => Err(format!("{path}: not a recognised run export")),
+    }
+}
+
+/// Per-seed report lines: counters and gauges, histogram and stat
+/// summaries, and per-VCPU commit counts, all gated relatively. With
+/// several lines, each metric is prefixed `#<line>.`.
 fn report_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
     let mut identity = Vec::new();
-    let mut metrics = BTreeMap::new();
+    let mut rows = Rows::new();
     for (i, line) in lines.iter().enumerate() {
         let prefix = if lines.len() > 1 {
             format!("#{i}.")
         } else {
             String::new()
         };
-        for k in ["config", "benchmark", "scheduler", "threads", "cycles"] {
-            identity.push((format!("{prefix}{k}"), ident_str(line.get(k))));
-        }
-        if let Some(vcpus) = line.get("vcpus").and_then(Json::as_arr) {
-            for v in vcpus {
-                let id = v.get("vcpu").and_then(Json::as_u64).unwrap_or(0);
-                for field in ["user_commits", "os_commits", "unprotected_commits"] {
-                    if let Some(n) = v.get(field).and_then(Json::as_f64) {
-                        metrics.insert(format!("{prefix}vcpu{id}.{field}"), n);
-                    }
+        let mut put =
+            |name: String, v: f64| rows.insert(format!("{prefix}{name}"), (v, Gate::Relative));
+        identity.extend(identity_of(
+            line,
+            &prefix,
+            &["config", "benchmark", "scheduler", "threads", "cycles"],
+        ));
+        for v in line.get("vcpus").and_then(Json::as_arr).unwrap_or(&[]) {
+            let id = v.get("vcpu").and_then(Json::as_u64).unwrap_or(0);
+            for field in ["user_commits", "os_commits", "unprotected_commits"] {
+                if let Some(n) = v.get(field).and_then(Json::as_f64) {
+                    put(format!("vcpu{id}.{field}"), n);
                 }
             }
         }
@@ -337,10 +314,8 @@ fn report_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
             .get("metrics")
             .ok_or_else(|| format!("{path}: report line {i} has no metrics"))?;
         for group in ["counters", "gauges"] {
-            for (name, v) in m.get(group).and_then(Json::as_obj).unwrap_or(&[]) {
-                if let Some(n) = v.as_f64() {
-                    metrics.insert(format!("{prefix}{name}"), n);
-                }
+            for (name, n) in numbers(m, group) {
+                put(name.clone(), n);
             }
         }
         for (group, fields) in [
@@ -350,7 +325,7 @@ fn report_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
             for (name, h) in m.get(group).and_then(Json::as_obj).unwrap_or(&[]) {
                 for field in fields {
                     if let Some(n) = h.get(field).and_then(Json::as_f64) {
-                        metrics.insert(format!("{prefix}{name}.{field}"), n);
+                        put(format!("{name}.{field}"), n);
                     }
                 }
             }
@@ -359,34 +334,30 @@ fn report_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
     Ok(RunFile {
         kind: Kind::Report,
         identity,
-        metrics,
+        rows,
     })
 }
 
-/// Flattens a time-series to per-metric aggregates: counters sum their
-/// per-interval deltas (= the cumulative total), gauges keep their
-/// last value, histograms expose the total observation count and the
-/// overall max.
+/// A time-series flattened to per-metric aggregates, gated relatively:
+/// counters sum their per-interval deltas (= the cumulative total),
+/// gauges keep their last value, histograms expose the total
+/// observation count and the overall max.
 fn series_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
-    let header = &lines[0];
-    let identity = ["interval", "config", "benchmark", "samples"]
-        .iter()
-        .map(|k| (k.to_string(), ident_str(header.get(k))))
-        .collect();
-    let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
+    let identity = identity_of(
+        &lines[0],
+        "",
+        &["interval", "config", "benchmark", "samples"],
+    );
+    let mut totals: BTreeMap<String, f64> = BTreeMap::new();
     for (i, sample) in lines[1..].iter().enumerate() {
         if sample.get("at").is_none() {
             return Err(format!("{path}: sample line {i} has no \"at\""));
         }
-        for (name, v) in sample.get("counters").and_then(Json::as_obj).unwrap_or(&[]) {
-            if let Some(n) = v.as_f64() {
-                *metrics.entry(name.clone()).or_insert(0.0) += n;
-            }
+        for (name, n) in numbers(sample, "counters") {
+            *totals.entry(name.clone()).or_insert(0.0) += n;
         }
-        for (name, v) in sample.get("gauges").and_then(Json::as_obj).unwrap_or(&[]) {
-            if let Some(n) = v.as_f64() {
-                metrics.insert(name.clone(), n);
-            }
+        for (name, n) in numbers(sample, "gauges") {
+            totals.insert(name.clone(), n);
         }
         for (name, h) in sample
             .get("histograms")
@@ -394,10 +365,10 @@ fn series_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
             .unwrap_or(&[])
         {
             if let Some(c) = h.get("count").and_then(Json::as_f64) {
-                *metrics.entry(format!("{name}.count")).or_insert(0.0) += c;
+                *totals.entry(format!("{name}.count")).or_insert(0.0) += c;
             }
             if let Some(mx) = h.get("max").and_then(Json::as_f64) {
-                let e = metrics.entry(format!("{name}.max")).or_insert(0.0);
+                let e = totals.entry(format!("{name}.max")).or_insert(0.0);
                 *e = e.max(mx);
             }
         }
@@ -405,121 +376,78 @@ fn series_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
     Ok(RunFile {
         kind: Kind::Series,
         identity,
-        metrics,
+        rows: totals
+            .into_iter()
+            .map(|(k, v)| (k, (v, Gate::Relative)))
+            .collect(),
     })
 }
 
-/// Loads the self-profiler section of an export for `profile` mode:
-/// either a `BENCH_*.json` baseline carrying a `profile` key (written
-/// under `MMM_PROFILE=1`) or a bare profile object with
-/// `phase_shares`. Phase shares become the gated metrics; wheel
-/// introspection numbers ride along for display, prefixed `wheel.` so
-/// the default comparison can leave them ungated.
-fn load_profile(path: &str) -> Result<RunFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let first = text
-        .lines()
-        .find(|l| !l.trim().is_empty())
-        .ok_or_else(|| format!("{path}: empty file"))?;
-    let line = Json::parse(first).map_err(|e| format!("{path}: {e}"))?;
-    let (identity, profile) = if let Some(p) = line.get("profile") {
-        let identity = [
-            "bench",
-            "config",
-            "benchmark",
-            "warmup_cycles",
-            "measured_cycles",
-        ]
-        .iter()
-        .map(|k| (k.to_string(), ident_str(line.get(k))))
-        .collect();
-        (identity, p)
-    } else if line.get("phase_shares").is_some() {
-        (Vec::new(), &line)
-    } else {
-        return Err(format!(
-            "{path}: no `profile` section (run the bench under MMM_PROFILE=1)"
-        ));
-    };
-    let mut metrics = BTreeMap::new();
-    for (name, v) in profile
-        .get("phase_shares")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| format!("{path}: profile has no phase_shares object"))?
-    {
-        if let Some(n) = v.as_f64() {
-            metrics.insert(name.clone(), n);
-        }
+/// A self-profiler export (`results/<bin>.profile.json`: the run's
+/// config and benchmark plus a `profile` section). Phase shares gate
+/// on their point change; the wheel introspection numbers ride along
+/// ungated, prefixed `wheel.`.
+fn profile_file(path: &str, doc: &Json) -> Result<RunFile, String> {
+    let profile = doc.get("profile").ok_or_else(|| {
+        format!("{path}: no `profile` section (export a --json bin under MMM_PROFILE=1)")
+    })?;
+    if profile.get("phase_shares").and_then(Json::as_obj).is_none() {
+        return Err(format!("{path}: profile has no phase_shares object"));
     }
+    let mut rows: Rows = numbers(profile, "phase_shares")
+        .map(|(name, n)| (name.clone(), (n, Gate::Points)))
+        .collect();
     if let Some(wheel) = profile.get("wheel") {
-        for key in [
+        let scalars = [
             "skip_efficiency",
             "ticks",
             "advanced_cycles",
             "skipped_cycles",
-        ] {
+        ];
+        for key in scalars {
             if let Some(n) = wheel.get(key).and_then(Json::as_f64) {
-                metrics.insert(format!("wheel.{key}"), n);
+                rows.insert(format!("wheel.{key}"), (n, Gate::Ungated));
             }
         }
-        for (name, v) in wheel.get("wake_hits").and_then(Json::as_obj).unwrap_or(&[]) {
-            if let Some(n) = v.as_f64() {
-                metrics.insert(format!("wheel.wake_hits.{name}"), n);
-            }
+        for (name, n) in numbers(wheel, "wake_hits") {
+            rows.insert(format!("wheel.wake_hits.{name}"), (n, Gate::Ungated));
         }
     }
     Ok(RunFile {
         kind: Kind::Profile,
-        identity,
-        metrics,
+        identity: identity_of(doc, "", &["config", "benchmark"]),
+        rows,
     })
 }
 
-/// Loads a campaign `aggregate.json` for `campaign` mode. The
-/// identity is the sweep itself — campaign name, manifest hash, and
-/// completion state — so partial and complete aggregates never compare
-/// silently. Everything numeric flattens into the gated metrics:
-/// per-cell summaries (`cell<id>.throughput`, ...), Pareto membership
-/// as 0/1, and the lossless merged registry (counters, gauges,
-/// histogram sum/max/count, stat n/mean/m2).
-fn load_campaign(path: &str) -> Result<RunFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
+/// A campaign `aggregate.json`, gated relatively. The identity is the
+/// sweep itself — campaign name, manifest hash, and completion state —
+/// so partial and complete aggregates never compare silently. The rows
+/// are per-cell summaries (`cell<id>.throughput`, ...), Pareto
+/// membership as 0/1, and the lossless merged registry (counters,
+/// gauges, histogram sum/max/count, stat n/mean/m2).
+fn campaign_file(path: &str, doc: &Json) -> Result<RunFile, String> {
     if doc.get("kind").and_then(Json::as_str) != Some("mmm-campaign-aggregate") {
         return Err(format!(
             "{path}: not a campaign aggregate (expected kind \"mmm-campaign-aggregate\")"
         ));
     }
-    let identity = [
-        "campaign",
-        "manifest_hash",
-        "cells_total",
-        "cells_done",
-        "complete",
-    ]
-    .iter()
-    .map(|k| (k.to_string(), ident_str(doc.get(k))))
-    .collect();
-    let mut metrics = BTreeMap::new();
+    let mut totals = BTreeMap::new();
     for cell in doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
         let id = cell.get("id").and_then(Json::as_u64).unwrap_or(0);
-        for (name, v) in cell.get("summary").and_then(Json::as_obj).unwrap_or(&[]) {
-            if let Some(n) = v.as_f64() {
-                metrics.insert(format!("cell{id}.{name}"), n);
-            }
+        for (name, n) in numbers(cell, "summary") {
+            totals.insert(format!("cell{id}.{name}"), n);
         }
         if let Some(Json::Bool(p)) = cell.get("pareto") {
-            metrics.insert(format!("cell{id}.pareto"), if *p { 1.0 } else { 0.0 });
+            totals.insert(format!("cell{id}.pareto"), if *p { 1.0 } else { 0.0 });
         }
     }
     let merged = doc
         .get("merged_metrics")
         .ok_or_else(|| format!("{path}: aggregate has no merged_metrics"))?;
     for group in ["counters", "gauges"] {
-        for (name, v) in merged.get(group).and_then(Json::as_obj).unwrap_or(&[]) {
-            if let Some(n) = v.as_f64() {
-                metrics.insert(format!("merged.{name}"), n);
-            }
+        for (name, n) in numbers(merged, group) {
+            totals.insert(format!("merged.{name}"), n);
         }
     }
     for (name, h) in merged
@@ -534,10 +462,10 @@ fn load_campaign(path: &str) -> Result<RunFile, String> {
             .and_then(Json::as_str)
             .and_then(|s| s.parse::<f64>().ok())
         {
-            metrics.insert(format!("merged.{name}.sum"), sum);
+            totals.insert(format!("merged.{name}.sum"), sum);
         }
         if let Some(mx) = h.get("max").and_then(Json::as_f64) {
-            metrics.insert(format!("merged.{name}.max"), mx);
+            totals.insert(format!("merged.{name}.max"), mx);
         }
         let count: f64 = h
             .get("buckets")
@@ -548,45 +476,58 @@ fn load_campaign(path: &str) -> Result<RunFile, String> {
                     .sum()
             })
             .unwrap_or(0.0);
-        metrics.insert(format!("merged.{name}.count"), count);
+        totals.insert(format!("merged.{name}.count"), count);
     }
     for (name, s) in merged.get("stats").and_then(Json::as_obj).unwrap_or(&[]) {
         for field in ["n", "mean", "m2"] {
             if let Some(n) = s.get(field).and_then(Json::as_f64) {
-                metrics.insert(format!("merged.{name}.{field}"), n);
+                totals.insert(format!("merged.{name}.{field}"), n);
             }
         }
     }
     Ok(RunFile {
         kind: Kind::Campaign,
-        identity,
-        metrics,
+        identity: identity_of(
+            doc,
+            "",
+            &[
+                "campaign",
+                "manifest_hash",
+                "cells_total",
+                "cells_done",
+                "complete",
+            ],
+        ),
+        rows: totals
+            .into_iter()
+            .map(|(k, v)| (k, (v, Gate::Relative)))
+            .collect(),
     })
 }
 
-/// Loads a fault-forensics export (`results/<bin>.faults.jsonl`,
-/// written under `MMM_FORENSICS=1`) for `faults` mode. Header lines
-/// (`kind: "mmm-faults-run"`) establish the identity: run count plus
-/// the distinct config/benchmark/scheduler values. Record lines
-/// (`kind: "fault"`) flatten into three metric families:
+/// A fault-forensics export. Header lines (`kind: "mmm-faults-run"`)
+/// establish the identity: run count plus the distinct
+/// config/benchmark/scheduler values. Record lines (`kind: "fault"`)
+/// flatten into three row families:
 ///
 /// - `count.<site>.<verdict>` — raw record counts (ungated; they scale
 ///   with run length);
 /// - `share.<site>.<verdict>` — the fraction of that site's records
-///   landing on the verdict (gated on the absolute point delta);
+///   landing on the verdict (gated on the point change);
 /// - `latency.<verdict>.{p50,p99,mean}` — detection latency over the
 ///   records carrying a non-null latency (ungated; tails are noisy).
-fn load_faults(path: &str) -> Result<RunFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+fn faults_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
     let mut runs = 0u64;
     let mut idents: BTreeMap<&str, Vec<String>> = BTreeMap::new();
     let mut outcomes: BTreeMap<(String, String), u64> = BTreeMap::new();
     let mut latencies: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for (i, raw) in text.lines().enumerate() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let line = Json::parse(raw).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+    for (i, line) in lines.iter().enumerate() {
+        let field = |key: &str| {
+            line.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("{path}: line {}: fault record without {key}", i + 1))
+        };
         match line.get("kind").and_then(Json::as_str) {
             Some("mmm-faults-run") => {
                 runs += 1;
@@ -599,16 +540,7 @@ fn load_faults(path: &str) -> Result<RunFile, String> {
                 }
             }
             Some("fault") => {
-                let site = line
-                    .get("site")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{path}:{}: fault record without site", i + 1))?
-                    .to_string();
-                let verdict = line
-                    .get("verdict")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{path}:{}: fault record without verdict", i + 1))?
-                    .to_string();
+                let (site, verdict) = (field("site")?, field("verdict")?);
                 if let Some(l) = line.get("latency").and_then(Json::as_f64) {
                     latencies.entry(verdict.clone()).or_default().push(l);
                 }
@@ -616,7 +548,7 @@ fn load_faults(path: &str) -> Result<RunFile, String> {
             }
             _ => {
                 return Err(format!(
-                    "{path}:{}: not a forensics line (expected kind \
+                    "{path}: line {}: not a forensics line (expected kind \
                      \"mmm-faults-run\" or \"fault\")",
                     i + 1
                 ))
@@ -637,201 +569,28 @@ fn load_faults(path: &str) -> Result<RunFile, String> {
     for ((site, _), n) in &outcomes {
         *site_totals.entry(site).or_insert(0) += n;
     }
-    let mut metrics = BTreeMap::new();
+    let mut rows = Rows::new();
     for ((site, verdict), n) in &outcomes {
-        metrics.insert(format!("count.{site}.{verdict}"), *n as f64);
-        metrics.insert(
-            format!("share.{site}.{verdict}"),
-            *n as f64 / site_totals[site] as f64,
+        let share = *n as f64 / site_totals[site] as f64;
+        rows.insert(
+            format!("count.{site}.{verdict}"),
+            (*n as f64, Gate::Ungated),
         );
+        rows.insert(format!("share.{site}.{verdict}"), (share, Gate::Points));
     }
     for (verdict, mut vals) in latencies {
         vals.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
         let pct = |p: f64| vals[(p * (vals.len() - 1) as f64).round() as usize];
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        metrics.insert(format!("latency.{verdict}.p50"), pct(0.50));
-        metrics.insert(format!("latency.{verdict}.p99"), pct(0.99));
-        metrics.insert(format!("latency.{verdict}.mean"), mean);
+        for (stat, v) in [("p50", pct(0.50)), ("p99", pct(0.99)), ("mean", mean)] {
+            rows.insert(format!("latency.{verdict}.{stat}"), (v, Gate::Ungated));
+        }
     }
     Ok(RunFile {
         kind: Kind::Faults,
         identity,
-        metrics,
+        rows,
     })
-}
-
-/// Compares two profiles: phase shares are gated on their *point*
-/// delta (shares are percentages of the measured window, so relative
-/// changes of tiny phases would be pure noise); `wheel.*`
-/// introspection rows are shown but never gated. Returns the rows and
-/// the count of metrics skipped for being absent in one file.
-fn compare_profiles(a: &RunFile, b: &RunFile, opts: &Options) -> (Vec<Row>, usize) {
-    let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
-    names.sort();
-    names.dedup();
-    let mut rows = Vec::new();
-    let mut skipped = 0;
-    for name in names {
-        if !opts.only.is_empty() && !opts.only.iter().any(|s| name.contains(s.as_str())) {
-            continue;
-        }
-        let (va, vb) = match (a.metrics.get(name), b.metrics.get(name)) {
-            (Some(&va), Some(&vb)) => (va, vb),
-            _ => {
-                skipped += 1;
-                continue;
-            }
-        };
-        if va == 0.0 && vb == 0.0 {
-            continue;
-        }
-        let delta = vb - va;
-        let gated = !name.starts_with("wheel.");
-        let fail = gated
-            && match opts.direction {
-                Direction::Both => delta.abs() > opts.threshold,
-                Direction::Down => delta < -opts.threshold,
-                Direction::Up => delta > opts.threshold,
-            };
-        rows.push(Row {
-            name: name.clone(),
-            a: va,
-            b: vb,
-            rel: delta,
-            fail,
-        });
-    }
-    (rows, skipped)
-}
-
-/// Compares two forensics exports: `share.*` rows (per-site outcome
-/// distributions) are gated on their absolute point delta, like
-/// profile phase shares; `count.*` and `latency.*` rows are shown
-/// ungated. Returns the rows and the count of skipped-absent metrics —
-/// an outcome present in only one file (a verdict that stopped or
-/// started occurring) is skipped, and the trailing summary makes the
-/// asymmetry visible.
-fn compare_faults(a: &RunFile, b: &RunFile, opts: &Options) -> (Vec<Row>, usize) {
-    let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
-    names.sort();
-    names.dedup();
-    let mut rows = Vec::new();
-    let mut skipped = 0;
-    for name in names {
-        if !opts.only.is_empty() && !opts.only.iter().any(|s| name.contains(s.as_str())) {
-            continue;
-        }
-        let (va, vb) = match (a.metrics.get(name), b.metrics.get(name)) {
-            (Some(&va), Some(&vb)) => (va, vb),
-            _ => {
-                skipped += 1;
-                continue;
-            }
-        };
-        let delta = vb - va;
-        let gated = name.starts_with("share.");
-        let fail = gated
-            && match opts.direction {
-                Direction::Both => delta.abs() > opts.threshold,
-                Direction::Down => delta < -opts.threshold,
-                Direction::Up => delta > opts.threshold,
-            };
-        rows.push(Row {
-            name: name.clone(),
-            a: va,
-            b: vb,
-            rel: delta,
-            fail,
-        });
-    }
-    (rows, skipped)
-}
-
-/// Human-readable verdict for `profile` mode: deltas are percentage
-/// points of phase share, not relative changes.
-fn print_profile_human(rows: &[Row], skipped: usize, opts: &Options) {
-    let to_cells = |r: &Row| {
-        vec![
-            r.name.clone(),
-            format!("{:.2}", r.a),
-            format!("{:.2}", r.b),
-            format!("{:+.2}", r.rel),
-            if r.fail { "FAIL" } else { "ok" }.to_string(),
-        ]
-    };
-    let failed: Vec<&Row> = rows.iter().filter(|r| r.fail).collect();
-    if !failed.is_empty() {
-        print_table(
-            &format!(
-                "Phase shares over threshold ({:.1} points, direction {})",
-                opts.threshold,
-                direction_name(opts.direction)
-            ),
-            &["phase", "A", "B", "delta", "gate"],
-            &failed.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    let rest: Vec<&Row> = rows.iter().filter(|r| !r.fail).collect();
-    if !rest.is_empty() {
-        print_table(
-            "Phase shares and wheel introspection (within threshold)",
-            &["metric", "A", "B", "delta", "gate"],
-            &rest.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    println!(
-        "\nmmm-inspect: {} vs {} (profile): compared {} metrics, \
-         skipped {} absent-in-one-side, {} over threshold",
-        opts.a,
-        opts.b,
-        rows.len(),
-        skipped,
-        failed.len()
-    );
-}
-
-/// Human-readable verdict for `faults` mode: share deltas are points
-/// of per-site outcome distribution; counts and latency percentiles
-/// ride along ungated.
-fn print_faults_human(rows: &[Row], skipped: usize, opts: &Options) {
-    let to_cells = |r: &Row| {
-        vec![
-            r.name.clone(),
-            fmt_num(r.a),
-            fmt_num(r.b),
-            format!("{:+.4}", r.rel),
-            if r.fail { "FAIL" } else { "ok" }.to_string(),
-        ]
-    };
-    let failed: Vec<&Row> = rows.iter().filter(|r| r.fail).collect();
-    if !failed.is_empty() {
-        print_table(
-            &format!(
-                "Outcome shares over threshold ({:.2} points, direction {})",
-                opts.threshold,
-                direction_name(opts.direction)
-            ),
-            &["metric", "A", "B", "delta", "gate"],
-            &failed.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    let rest: Vec<&Row> = rows.iter().filter(|r| !r.fail).collect();
-    if !rest.is_empty() {
-        print_table(
-            "Outcome counts, shares, and detection latency (within threshold)",
-            &["metric", "A", "B", "delta", "gate"],
-            &rest.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    println!(
-        "\nmmm-inspect: {} vs {} (faults): compared {} metrics, \
-         skipped {} absent-in-one-side, {} over threshold",
-        opts.a,
-        opts.b,
-        rows.len(),
-        skipped,
-        failed.len()
-    );
 }
 
 /// Host-dependent metrics are noise, not regressions; they only enter
@@ -847,55 +606,58 @@ struct Row {
     name: String,
     a: f64,
     b: f64,
-    /// Relative change `(b - a) / a`; ±inf when a is 0 and b is not.
-    rel: f64,
+    gate: Gate,
+    /// The change the gate judges: relative for [`Gate::Relative`],
+    /// `b - a` otherwise.
+    delta: f64,
     fail: bool,
 }
 
-fn compare(a: &RunFile, b: &RunFile, opts: &Options) -> (Vec<Row>, usize) {
-    let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
+/// The one diff engine: every metric named in either file, filtered by
+/// `--only` (or stripped of host-dependent metrics without it), judged
+/// by its row's gate. Returns the compared rows and the count of
+/// metrics skipped for being absent in one file.
+fn compare(a: &RunFile, b: &RunFile, opts: &Options, threshold: f64) -> (Vec<Row>, usize) {
+    let mut names: Vec<&String> = a.rows.keys().chain(b.rows.keys()).collect();
     names.sort();
     names.dedup();
     let mut rows = Vec::new();
     let mut skipped = 0;
     for name in names {
-        if opts.only.is_empty() {
-            if host_dependent(name) {
-                continue;
-            }
-        } else if !opts.only.iter().any(|s| name.contains(s.as_str())) {
+        let wanted = if opts.only.is_empty() {
+            !host_dependent(name)
+        } else {
+            opts.only.iter().any(|s| name.contains(s.as_str()))
+        };
+        if !wanted {
             continue;
         }
         // A metric present in only one file is *skipped*, not compared
         // against zero: schema drift between exports should surface as
         // a skip count in the trailing summary, not as a ±inf verdict
         // — and never pass silently as a vacuous diff.
-        let (va, vb) = match (a.metrics.get(name), b.metrics.get(name)) {
-            (Some(&va), Some(&vb)) => (va, vb),
+        let (&(va, gate), &(vb, _)) = match (a.rows.get(name), b.rows.get(name)) {
+            (Some(ra), Some(rb)) => (ra, rb),
             _ => {
                 skipped += 1;
                 continue;
             }
         };
-        if va == 0.0 && vb == 0.0 {
+        if a.kind.drops_zero_pairs() && va == 0.0 && vb == 0.0 {
             continue;
         }
-        let rel = if va != 0.0 {
-            (vb - va) / va
-        } else {
-            f64::INFINITY * vb.signum()
-        };
-        let fail = match opts.direction {
-            Direction::Both => rel.abs() > opts.threshold,
-            Direction::Down => rel < -opts.threshold,
-            Direction::Up => rel > opts.threshold,
+        let delta = match gate {
+            Gate::Relative if va != 0.0 => (vb - va) / va,
+            Gate::Relative => f64::INFINITY * vb.signum(),
+            Gate::Points | Gate::Ungated => vb - va,
         };
         rows.push(Row {
             name: name.clone(),
             a: va,
             b: vb,
-            rel,
-            fail,
+            gate,
+            delta,
+            fail: gate != Gate::Ungated && opts.direction.crosses(delta, threshold),
         });
     }
     (rows, skipped)
@@ -909,50 +671,59 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-fn fmt_rel(rel: f64) -> String {
-    if rel.is_infinite() {
-        if rel > 0.0 { "+inf%" } else { "-inf%" }.to_string()
-    } else {
-        format!("{:+.2}%", rel * 100.0)
+/// The change column, in the unit its gate judges.
+fn fmt_delta(r: &Row) -> String {
+    match r.gate {
+        Gate::Relative if r.delta.is_infinite() => {
+            if r.delta > 0.0 { "+inf%" } else { "-inf%" }.to_string()
+        }
+        Gate::Relative => format!("{:+.2}%", r.delta * 100.0),
+        Gate::Points => format!("{:+.4} pt", r.delta),
+        Gate::Ungated if r.delta == r.delta.trunc() => format!("{:+}", r.delta as i64),
+        Gate::Ungated => format!("{:+.4}", r.delta),
     }
 }
 
-fn direction_name(d: Direction) -> &'static str {
-    match d {
-        Direction::Both => "both",
-        Direction::Down => "down",
-        Direction::Up => "up",
-    }
-}
-
-fn print_human(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
-    let failed: Vec<&Row> = rows.iter().filter(|r| r.fail).collect();
-    let to_cells = |r: &Row| {
+fn print_human(rows: &[Row], skipped: usize, opts: &Options, kind: Kind, threshold: f64) {
+    let to_cells = |r: &&Row| {
+        let verdict = match (r.gate, r.fail) {
+            (Gate::Ungated, _) => "-",
+            (_, true) => "FAIL",
+            (_, false) => "ok",
+        };
         vec![
             r.name.clone(),
             fmt_num(r.a),
             fmt_num(r.b),
-            fmt_rel(r.rel),
-            if r.fail { "FAIL" } else { "ok" }.to_string(),
+            fmt_delta(r),
+            verdict.to_string(),
         ]
     };
-    if !failed.is_empty() {
+    let header = ["metric", "A", "B", "change", "gate"];
+    let failed: Vec<&Row> = rows.iter().filter(|r| r.fail).collect();
+    if let Some(first) = failed.first() {
+        let limit = match first.gate {
+            Gate::Relative => format!("{:.0}%", threshold * 100.0),
+            _ => format!("{threshold} points"),
+        };
         print_table(
             &format!(
-                "Metrics over threshold ({:.0}%, direction {})",
-                opts.threshold * 100.0,
-                direction_name(opts.direction)
+                "Metrics over threshold ({limit}, direction {})",
+                opts.direction.name()
             ),
-            &["metric", "A", "B", "change", "gate"],
-            &failed.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
+            &header,
+            &failed.iter().map(to_cells).collect::<Vec<_>>(),
         );
     }
-    let mut moved: Vec<&Row> = rows.iter().filter(|r| !r.fail && r.rel != 0.0).collect();
+    // Gated rows first, largest change first within each gate.
+    let mut moved: Vec<&Row> = rows.iter().filter(|r| !r.fail && r.delta != 0.0).collect();
     moved.sort_by(|x, y| {
-        y.rel
-            .abs()
-            .partial_cmp(&x.rel.abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
+        x.gate.cmp(&y.gate).then(
+            y.delta
+                .abs()
+                .partial_cmp(&x.delta.abs())
+                .unwrap_or(std::cmp::Ordering::Equal),
+        )
     });
     if !moved.is_empty() {
         let shown = moved.len().min(20);
@@ -962,11 +733,8 @@ fn print_human(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
                 shown,
                 moved.len()
             ),
-            &["metric", "A", "B", "change", "gate"],
-            &moved[..shown]
-                .iter()
-                .map(|r| to_cells(r))
-                .collect::<Vec<_>>(),
+            &header,
+            &moved[..shown].iter().map(to_cells).collect::<Vec<_>>(),
         );
     }
     println!(
@@ -977,21 +745,21 @@ fn print_human(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
         kind.name(),
         rows.len(),
         skipped,
-        rows.iter().filter(|r| r.rel != 0.0).count(),
+        rows.iter().filter(|r| r.delta != 0.0).count(),
         failed.len()
     );
 }
 
-fn print_json(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
+fn print_json(rows: &[Row], skipped: usize, opts: &Options, kind: Kind, threshold: f64) {
     let metrics = rows
         .iter()
-        .filter(|r| r.fail || r.rel != 0.0)
+        .filter(|r| r.fail || r.delta != 0.0)
         .map(|r| {
             Json::obj([
                 ("name", Json::str(r.name.clone())),
                 ("a", Json::F64(r.a)),
                 ("b", Json::F64(r.b)),
-                ("rel", Json::F64(r.rel)),
+                ("rel", Json::F64(r.delta)),
                 ("fail", Json::Bool(r.fail)),
             ])
         })
@@ -1000,8 +768,8 @@ fn print_json(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
         ("a", Json::str(opts.a.clone())),
         ("b", Json::str(opts.b.clone())),
         ("kind", Json::str(kind.name())),
-        ("threshold", Json::F64(opts.threshold)),
-        ("direction", Json::str(direction_name(opts.direction))),
+        ("threshold", Json::F64(threshold)),
+        ("direction", Json::str(opts.direction.name())),
         ("compared", Json::U64(rows.len() as u64)),
         ("skipped_absent", Json::U64(skipped as u64)),
         (
@@ -1020,15 +788,8 @@ fn print_json(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
 }
 
 fn run(opts: &Options) -> Result<bool, String> {
-    let (a, b) = if opts.profile {
-        (load_profile(&opts.a)?, load_profile(&opts.b)?)
-    } else if opts.campaign {
-        (load_campaign(&opts.a)?, load_campaign(&opts.b)?)
-    } else if opts.faults {
-        (load_faults(&opts.a)?, load_faults(&opts.b)?)
-    } else {
-        (load(&opts.a)?, load(&opts.b)?)
-    };
+    let a = load(&opts.a, opts.mode)?;
+    let b = load(&opts.b, opts.mode)?;
     if a.kind != b.kind {
         return Err(format!(
             "{} is a {} export but {} is a {} export",
@@ -1056,21 +817,12 @@ fn run(opts: &Options) -> Result<bool, String> {
         }
         eprintln!("mmm-inspect: {msg}\nmmm-inspect: --force given, comparing anyway");
     }
-    let (rows, skipped) = if opts.profile {
-        compare_profiles(&a, &b, opts)
-    } else if opts.faults {
-        compare_faults(&a, &b, opts)
-    } else {
-        compare(&a, &b, opts)
-    };
+    let threshold = opts.threshold.unwrap_or(a.kind.default_threshold());
+    let (rows, skipped) = compare(&a, &b, opts, threshold);
     if opts.json {
-        print_json(&rows, skipped, opts, a.kind);
-    } else if opts.profile {
-        print_profile_human(&rows, skipped, opts);
-    } else if opts.faults {
-        print_faults_human(&rows, skipped, opts);
+        print_json(&rows, skipped, opts, a.kind, threshold);
     } else {
-        print_human(&rows, skipped, opts, a.kind);
+        print_human(&rows, skipped, opts, a.kind, threshold);
     }
     Ok(rows.iter().any(|r| r.fail))
 }

@@ -77,11 +77,9 @@ fn env_threads() -> usize {
     let default = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    std::env::var("MMM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(default)
+    mmm_core::experiment::env_u64("MMM_THREADS")
+        .filter(|&n| n > 0)
+        .map_or(default, |n| n as usize)
 }
 
 /// Writes `text` to `path` via a temp file and atomic rename.

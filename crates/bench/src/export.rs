@@ -11,14 +11,21 @@
 //!   recorder attached and writes `results/<bin>.trace.json` in Chrome
 //!   trace-event format (per-core mode/event timelines plus metrics
 //!   counter tracks, viewable at <https://ui.perfetto.dev>) and
-//!   `results/<bin>.metrics.jsonl`, the sampled metrics time-series.
+//!   `results/<bin>.metrics.jsonl`, the sampled metrics time-series;
+//! * under `MMM_FORENSICS=1`, writes `results/<bin>.faults.jsonl`, one
+//!   lifecycle record per injected fault;
+//! * under `MMM_PROFILE=1`, writes `results/<bin>.profile.json`, the
+//!   self-profiler's phase shares summed over every run of the bin,
+//!   and `results/<bin>.speedscope.json`, the same profile as a
+//!   flamegraph for <https://www.speedscope.app>.
 
 use std::fs;
 use std::path::Path;
 
 use mmm_core::{RunResult, System, Workload};
 use mmm_trace::{
-    chrome_trace_full, chrome_trace_with_counters, Forensics, Sampler, Tracer, FORENSICS_WINDOW,
+    chrome_trace_full, chrome_trace_with_counters, Forensics, Json, ProfileReport, Sampler, Tracer,
+    FORENSICS_WINDOW,
 };
 use mmm_types::SystemConfig;
 
@@ -110,6 +117,12 @@ pub struct JsonExport {
     /// whose `run` index pairs it with the same-index line of the main
     /// JSONL, followed by one line per fault record.
     fault_lines: Vec<String>,
+    /// Self-profiler attribution summed over the reports that carry a
+    /// [`mmm_core::SystemReport::profile`] (runs under `MMM_PROFILE=1`).
+    profile: Option<ProfileReport>,
+    /// Distinct config and benchmark names of the profiled runs, in
+    /// first-seen order: the identity `mmm-inspect profile` matches.
+    profiled: [Vec<&'static str>; 2],
 }
 
 impl JsonExport {
@@ -119,14 +132,28 @@ impl JsonExport {
             name,
             lines: Vec::new(),
             fault_lines: Vec::new(),
+            profile: None,
+            profiled: [Vec::new(), Vec::new()],
         }
     }
 
     /// Adds every per-seed report of a run as one JSONL line each,
     /// harvesting its forensics records (if any) into the side
-    /// `*.faults.jsonl` stream.
+    /// `*.faults.jsonl` stream and its self-profile (if any) into the
+    /// bin's summed profile.
     pub fn add(&mut self, run: &RunResult) {
         for r in &run.reports {
+            if let Some(p) = &r.profile {
+                match &mut self.profile {
+                    Some(sum) => sum.merge(p),
+                    None => self.profile = Some(p.clone()),
+                }
+                for (seen, name) in self.profiled.iter_mut().zip([r.config, r.benchmark]) {
+                    if !seen.contains(&name) {
+                        seen.push(name);
+                    }
+                }
+            }
             if let Some(f) = &r.forensics {
                 self.fault_lines.extend(f.jsonl(
                     self.lines.len() as u64,
@@ -143,7 +170,9 @@ impl JsonExport {
     /// `results/<bin>.jsonl`, `results/<bin>.trace.json`, and
     /// `results/<bin>.metrics.jsonl` (pass the artifacts from
     /// [`traced_run`]), plus `results/<bin>.faults.jsonl` when any
-    /// report carried forensics records. File-system errors are
+    /// report carried forensics records and `results/<bin>.profile.json`
+    /// with `results/<bin>.speedscope.json` when any report carried a
+    /// self-profile. File-system errors are
     /// reported on stderr but never fail the run — stdout already
     /// carries the data.
     pub fn finish(self, traced: &TracedRun) {
@@ -175,6 +204,29 @@ impl JsonExport {
                 eprintln!("{}: {e}", faults_path.display());
             } else {
                 eprintln!("wrote {}", faults_path.display());
+            }
+        }
+        if let Some(profile) = &self.profile {
+            let [configs, benchmarks] = &self.profiled;
+            let doc = Json::obj([
+                ("config", Json::str(configs.join(","))),
+                ("benchmark", Json::str(benchmarks.join(","))),
+                ("profile", profile.to_json()),
+            ]);
+            for (path, body) in [
+                (
+                    dir.join(format!("{}.profile.json", self.name)),
+                    doc.render(),
+                ),
+                (
+                    dir.join(format!("{}.speedscope.json", self.name)),
+                    profile.to_speedscope(self.name),
+                ),
+            ] {
+                match fs::write(&path, body + "\n") {
+                    Ok(()) => eprintln!("wrote {}", path.display()),
+                    Err(e) => eprintln!("{}: {e}", path.display()),
+                }
             }
         }
         eprintln!(

@@ -26,6 +26,11 @@
 //!   value but `0` or empty enables). Gives every injected fault a
 //!   causal lifecycle record ([`SystemReport::forensics`]); never
 //!   changes simulated timing or reported metrics.
+//!
+//! The five numeric variables must hold a base-10 integer (empty
+//! counts as unset): a malformed value such as `MMM_MEASURE=2e6` stops
+//! the process with an error naming the variable, instead of silently
+//! running the default length.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -98,33 +103,54 @@ impl Default for Experiment {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses the value of the numeric override `name`: `None` when unset
+/// or empty, the number when it is a base-10 `u64`, and an error
+/// naming the variable and its value otherwise.
+pub fn parse_env_u64(name: &str, value: Option<&str>) -> std::result::Result<Option<u64>, String> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
+    }
+}
+
+/// Reads the numeric override `name` from the environment (see
+/// [`parse_env_u64`]). A malformed value is a usage error: it is
+/// reported on stderr and the process exits with status 2.
+pub fn env_u64(name: &str) -> Option<u64> {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_env_u64(name, raw.as_deref()).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
 }
 
 impl Experiment {
     /// Builds an experiment, honouring the `MMM_*` environment
     /// overrides.
     pub fn from_env() -> Self {
-        let mut e = Experiment::default();
-        e.warmup = env_u64("MMM_WARMUP", e.warmup);
-        e.measure = env_u64("MMM_MEASURE", e.measure);
-        let seeds = env_u64("MMM_SEEDS", e.seeds.len() as u64).max(1);
-        e.seeds = (1..=seeds).collect();
-        e.sample_interval = std::env::var("MMM_SAMPLE_INTERVAL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &u64| n > 0);
+        Experiment::default().with_env()
+    }
+
+    /// Applies the `MMM_*` environment overrides on top of this
+    /// experiment's settings.
+    pub fn with_env(mut self) -> Self {
+        let e = &mut self;
+        e.warmup = env_u64("MMM_WARMUP").unwrap_or(e.warmup);
+        e.measure = env_u64("MMM_MEASURE").unwrap_or(e.measure);
+        if let Some(seeds) = env_u64("MMM_SEEDS") {
+            e.seeds = (1..=seeds.max(1)).collect();
+        }
+        e.sample_interval = env_u64("MMM_SAMPLE_INTERVAL").filter(|&n| n > 0);
         e.profile = std::env::var("MMM_PROFILE")
             .map(|v| !v.is_empty() && v != "0")
             .unwrap_or(false);
         e.forensics = std::env::var("MMM_FORENSICS")
             .map(|v| !v.is_empty() && v != "0")
             .unwrap_or(false);
-        e
+        self
     }
 
     /// Runs one `(workload, seed)` pair.
@@ -173,7 +199,9 @@ impl Experiment {
         let default_threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        let threads = env_u64("MMM_THREADS", default_threads as u64).max(1) as usize;
+        let threads = env_u64("MMM_THREADS")
+            .unwrap_or(default_threads as u64)
+            .max(1) as usize;
         self.run_many_on(workloads, threads)
     }
 
@@ -459,6 +487,25 @@ mod tests {
         assert_eq!(series.interval, 10_000);
         assert_eq!(series.samples.len(), 4, "40k measured / 10k cadence");
         assert!(series.samples.iter().all(|s| !s.counters.is_empty()));
+    }
+
+    #[test]
+    fn numeric_overrides_parse_strictly() {
+        assert_eq!(parse_env_u64("MMM_MEASURE", None), Ok(None));
+        assert_eq!(parse_env_u64("MMM_MEASURE", Some("")), Ok(None));
+        assert_eq!(
+            parse_env_u64("MMM_MEASURE", Some("2000000")),
+            Ok(Some(2_000_000))
+        );
+        assert_eq!(parse_env_u64("MMM_SEEDS", Some(" 3 ")), Ok(Some(3)));
+        assert_eq!(parse_env_u64("MMM_SAMPLE_INTERVAL", Some("0")), Ok(Some(0)));
+        for bad in ["2e6", "-1", "1.5", "100k", "0x10", "1_000"] {
+            let err = parse_env_u64("MMM_MEASURE", Some(bad)).unwrap_err();
+            assert!(
+                err.contains("MMM_MEASURE") && err.contains(bad),
+                "error must name the variable and the value: {err}"
+            );
+        }
     }
 
     #[test]

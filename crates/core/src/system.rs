@@ -434,13 +434,6 @@ pub struct System {
     /// determinism tests turn it off to prove reports and sampled
     /// series are identical either way.
     skip_enabled: bool,
-    /// Event-wheel escape hatch, read from `MMM_EVENT_WHEEL` at
-    /// construction (`off`/`0` disables). Distinct from
-    /// [`System::set_cycle_skipping`], which the experiment harness
-    /// drives programmatically and would clobber an env-only flag.
-    /// With the wheel off the clock ticks every cycle; reports and
-    /// sampled series are identical either way.
-    wheel_enabled: bool,
 }
 
 impl System {
@@ -498,8 +491,6 @@ impl System {
         if matches!(workload, Workload::SingleOsMixed(_)) {
             wheel.schedule(WakeSource::SingleOsPoll, 0);
         }
-        let wheel_enabled =
-            std::env::var("MMM_EVENT_WHEEL").map_or(true, |v| v != "off" && v != "0");
         let mut sys = System {
             cfg: cfg.clone(),
             workload,
@@ -526,7 +517,6 @@ impl System {
             wheel,
             measure_start: 0,
             skip_enabled: true,
-            wheel_enabled,
         };
         sys.prewarm_scratchpad();
         sys.install_initial_assignments();
@@ -1673,7 +1663,7 @@ impl System {
     /// registers the earliest cycle its conditions could hold, and
     /// timeslice/sample boundaries sit in their wheel slots.
     fn fast_forward(&self, now: Cycle, min_wake: Cycle) -> Cycle {
-        if !self.skip_enabled || !self.wheel_enabled || min_wake <= now + 1 {
+        if !self.skip_enabled || min_wake <= now + 1 {
             return now + 1;
         }
         self.wheel.next_event(now + 1, min_wake)

@@ -399,9 +399,27 @@ impl ProfileReport {
         ])
     }
 
-    /// The `profile` section embedded in `BENCH_*.json`: phase nanos
-    /// and shares plus the wheel introspection block
-    /// (`validate_bench.py` checks this shape).
+    /// Folds `other` into this report: phase nanos, wake hits, tick
+    /// and cycle counts add up and the histograms merge, so the sum of
+    /// several runs' profiles attributes their combined host time.
+    pub fn merge(&mut self, other: &ProfileReport) {
+        self.total_nanos += other.total_nanos;
+        for ((_, mine), (_, theirs)) in self.phase_nanos.iter_mut().zip(&other.phase_nanos) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.wake_hits.iter_mut().zip(&other.wake_hits) {
+            *mine += theirs;
+        }
+        self.jump_lengths.merge(&other.jump_lengths);
+        self.occupancy.merge(&other.occupancy);
+        self.ticks += other.ticks;
+        self.advanced_cycles += other.advanced_cycles;
+        self.skipped_cycles += other.skipped_cycles;
+    }
+
+    /// The `profile` section of a `results/<bin>.profile.json` export:
+    /// phase nanos and shares plus the wheel introspection block
+    /// (`scripts/validate_trace.py profile` checks this shape).
     pub fn to_json(&self) -> Json {
         let nanos: Vec<(&str, Json)> = self
             .phase_nanos
@@ -628,6 +646,32 @@ mod tests {
         p.end();
         let r = p.report().unwrap();
         assert_eq!(r.ticks, 0, "begin() discards the previous window");
+    }
+
+    #[test]
+    fn merged_reports_add_up() {
+        let p = Profiler::enabled();
+        p.begin();
+        {
+            let _s = p.enter(ProfPhase::Mem);
+            spin();
+        }
+        p.wake_hit(1);
+        p.advance(32);
+        p.end();
+        let one = p.report().unwrap();
+        let mut two = one.clone();
+        two.merge(&one);
+        assert_eq!(two.total_nanos, 2 * one.total_nanos);
+        assert_eq!(
+            two.total_nanos,
+            two.phase_nanos.iter().map(|(_, n)| n).sum::<u64>()
+        );
+        assert_eq!(two.wake_hits, [0, 2, 0, 0]);
+        assert_eq!(two.ticks, 2);
+        assert_eq!(two.skipped_cycles, 2 * one.skipped_cycles);
+        assert_eq!(two.jump_lengths.count(), 2);
+        assert!((two.share_pct("mem_access") - one.share_pct("mem_access")).abs() < 1e-9);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! Tables are deduplicated in a process-global cache keyed on
 //! `(n, skew)` — the built-in benchmarks use a few dozen distinct
 //! pairs, each table costing `8n` bytes (≤ 384 KiB at the largest
-//! `n = 48000`). `MMM_TABLE_SAMPLER=off` is a runtime escape hatch
-//! that falls back to the reference `powf` path everywhere.
+//! `n = 48000`). Domains above `MAX_TABLE_N` keep the reference
+//! `powf` path, which also serves as the tests' oracle.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -185,14 +185,6 @@ fn cache() -> &'static TableCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Whether table-driven sampling is enabled (`MMM_TABLE_SAMPLER=off`
-/// reverts every stream to the reference `powf` path). Read once per
-/// process.
-pub fn table_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("MMM_TABLE_SAMPLER").map_or(true, |v| v != "off"))
-}
-
 /// A precomputed power-law sampler, bit-equal to
 /// [`DetRng::power_law_prepared`] for the same `(n, skew)`.
 ///
@@ -264,9 +256,8 @@ impl std::fmt::Debug for PowerLawTable {
     }
 }
 
-/// The sampler a workload stream actually holds: the table when
-/// enabled and the domain is table-sized, the reference `powf` path
-/// otherwise. Both arms produce bit-identical draw sequences.
+/// The sampler a workload stream actually holds: the table when the
+/// domain is table-sized, the reference `powf` path otherwise. Both arms produce bit-identical draw sequences.
 #[derive(Clone, Debug)]
 pub enum PowerLawSampler {
     /// Table-driven hot path.
@@ -277,18 +268,17 @@ pub enum PowerLawSampler {
 
 impl PowerLawSampler {
     /// Builds the preferred sampler for `(n, skew)`: table-driven
-    /// unless disabled via `MMM_TABLE_SAMPLER=off` or the domain
-    /// exceeds the table-size guard.
+    /// unless the domain exceeds `MAX_TABLE_N`.
     pub fn new(n: u64, skew: f64) -> Self {
-        if table_enabled() && n <= MAX_TABLE_N {
+        if n <= MAX_TABLE_N {
             Self::Table(PowerLawTable::shared(n, skew))
         } else {
             Self::Reference(PowerLaw::new(n, skew))
         }
     }
 
-    /// Builds the reference-path sampler unconditionally (for tests
-    /// and benchmarks that compare the two arms).
+    /// Builds the reference-path sampler unconditionally (the oracle
+    /// tests compare the table arm against).
     pub fn reference(n: u64, skew: f64) -> Self {
         Self::Reference(PowerLaw::new(n, skew))
     }
@@ -316,8 +306,9 @@ impl PowerLawSampler {
 mod tests {
     use super::*;
 
-    /// Every `(n, skew)` shape the built-in benchmarks use, plus the
-    /// degenerate and Zipf corners.
+    /// A grid of domain sizes and skews, including the degenerate and
+    /// Zipf corners. The exact shapes the built-in benchmarks use are
+    /// checked in `mmm-workload` (`stream::tests`).
     const DOMAINS: [u64; 4] = [1, 2, 128, 48_000];
     const SKEWS: [f64; 7] = [0.5, 1.0, 1.05, 1.3, 1.5, 1.9, 2.2];
 

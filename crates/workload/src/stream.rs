@@ -41,16 +41,32 @@ struct PhaseSamplers {
 }
 
 impl PhaseSamplers {
+    /// The `(lines, skew)` domain of each sampler, in field order. The
+    /// four middle regions are optional: a zero-line region gets no
+    /// sampler.
+    fn shapes(p: &PhaseProfile) -> [(u64, f64); 7] {
+        [
+            (p.hot_lines, p.skew),
+            (p.private_lines, p.skew),
+            (p.os_lines, p.skew),
+            (p.shared_lines, p.skew),
+            (p.os_lines, STORE_SPREAD_SKEW),
+            (p.shared_lines, STORE_SPREAD_SKEW),
+            (p.code_lines, p.code_skew),
+        ]
+    }
+
     fn new(p: &PhaseProfile) -> Self {
-        let opt = |n: u64, skew: f64| (n > 0).then(|| PowerLawSampler::new(n, skew));
+        let [hot, private, os, shared, os_store, shared_store, code] = Self::shapes(p);
+        let opt = |(n, skew): (u64, f64)| (n > 0).then(|| PowerLawSampler::new(n, skew));
         Self {
-            hot: PowerLawSampler::new(p.hot_lines, p.skew),
-            private: PowerLawSampler::new(p.private_lines, p.skew),
-            os: opt(p.os_lines, p.skew),
-            shared: opt(p.shared_lines, p.skew),
-            os_store: opt(p.os_lines, STORE_SPREAD_SKEW),
-            shared_store: opt(p.shared_lines, STORE_SPREAD_SKEW),
-            code: PowerLawSampler::new(p.code_lines, p.code_skew),
+            hot: PowerLawSampler::new(hot.0, hot.1),
+            private: PowerLawSampler::new(private.0, private.1),
+            os: opt(os),
+            shared: opt(shared),
+            os_store: opt(os_store),
+            shared_store: opt(shared_store),
+            code: PowerLawSampler::new(code.0, code.1),
         }
     }
 }
@@ -405,6 +421,43 @@ mod tests {
 
     fn stream(b: Benchmark) -> OpStream {
         OpStream::new(b.profile(), VmId(0), VcpuId(1), 42)
+    }
+
+    /// Every `(n, skew)` domain a built-in benchmark's streams sample
+    /// from gets the table-driven sampler, and that table draws exactly
+    /// what the reference `powf` path draws.
+    #[test]
+    fn benchmark_sampler_tables_match_the_reference() {
+        let mut benches = Benchmark::all().to_vec();
+        benches.push(Benchmark::SpecLike);
+        benches.push(Benchmark::Synthetic { user_kilo_insts: 1 });
+        let mut shapes: Vec<(u64, f64)> = benches
+            .iter()
+            .map(|b| b.profile())
+            .flat_map(|p| [p.user, p.os])
+            .flat_map(|phase| PhaseSamplers::shapes(&phase))
+            .filter(|&(n, _)| n > 0)
+            .collect();
+        shapes.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
+        shapes.dedup();
+        assert!(shapes.len() > 10, "only {} shapes", shapes.len());
+        for (n, skew) in shapes {
+            let table = PowerLawSampler::new(n, skew);
+            assert!(
+                matches!(table, PowerLawSampler::Table(_)),
+                "n={n} skew={skew} must be table-driven"
+            );
+            let reference = PowerLawSampler::reference(n, skew);
+            let mut ra = DetRng::new(0x5EED, n ^ skew.to_bits());
+            let mut rb = ra.clone();
+            for i in 0..4_000 {
+                assert_eq!(
+                    table.sample(&mut ra),
+                    reference.sample(&mut rb),
+                    "draw {i} diverged for n={n} skew={skew}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate the harness bins' machine-readable exports.
 
-Two modes:
+Four modes:
 
 * ``validate_trace.py`` (no args) — reads JSONL report lines from
   stdin (the output of ``<bin> --json``) and checks every line is a
@@ -20,12 +20,19 @@ Two modes:
   lines with strictly increasing ``at``, non-negative integer counter
   deltas, and well-formed histogram deltas (``count``/``mean``/
   ``max``/``buckets`` with ``[index, count]`` pairs).
+* ``validate_trace.py profile <file>`` — checks a ``*.profile.json``
+  self-profiler export (``MMM_PROFILE=1``): non-empty ``config`` and
+  ``benchmark`` strings and a ``profile`` section whose phase shares
+  are finite, non-negative, and sum to 100 ± 0.5 (unless the window is
+  empty), with ``op_gen`` under 10% and a wheel block whose
+  ``skip_efficiency`` lies in [0, 1].
 
 Exits non-zero (failing CI) on any malformed input. Uses only the
 Python standard library.
 """
 
 import json
+import math
 import sys
 
 REPORT_KEYS = {"config", "benchmark", "cycles", "vcpus", "metrics"}
@@ -203,6 +210,68 @@ def validate_metrics_file(path: str) -> None:
     )
 
 
+# Keys the self-profiler's ``to_json`` writes into every ``profile``
+# section.
+PROFILE_REQUIRED = ("total_nanos", "phase_nanos", "phase_shares", "wheel")
+
+
+def is_number(v) -> bool:
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and math.isfinite(float(v))
+    )
+
+
+def validate_profile_file(path: str) -> None:
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"{path}: {e}")
+    if not isinstance(doc, dict):
+        fail(f"{path}: expected an object, got {type(doc).__name__}")
+    for key in ("config", "benchmark"):
+        if not isinstance(doc.get(key), str) or not doc[key]:
+            fail(f"{path}: needs a non-empty {key!r}")
+    prof = doc.get("profile")
+    if not isinstance(prof, dict):
+        fail(f"{path}: needs a profile object")
+    for key in PROFILE_REQUIRED:
+        if key not in prof:
+            fail(f"{path}: profile missing key {key!r}")
+    total = prof["total_nanos"]
+    if not isinstance(total, int) or isinstance(total, bool) or total < 0:
+        fail(f"{path}: profile.total_nanos must be a non-negative integer")
+    shares = prof["phase_shares"]
+    if not isinstance(shares, dict) or not shares:
+        fail(f"{path}: profile.phase_shares must be a non-empty object")
+    for name, v in shares.items():
+        if not is_number(v) or float(v) < 0.0:
+            fail(f"{path}: profile.phase_shares.{name} must be finite and >= 0")
+    share_sum = sum(float(v) for v in shares.values())
+    if total > 0 and abs(share_sum - 100.0) > 0.5:
+        fail(f"{path}: profile.phase_shares sum to {share_sum:.3f}, expected ~100")
+    # The table-driven sampler and the batched ring refill took op
+    # generation out of the hot loop's profile; keep it out.
+    op_gen = float(shares.get("op_gen", 0.0))
+    if total > 0 and op_gen >= 10.0:
+        fail(f"{path}: profile.phase_shares.op_gen is {op_gen:.1f}%, expected < 10")
+    wheel = prof["wheel"]
+    if not isinstance(wheel, dict):
+        fail(f"{path}: profile.wheel must be an object")
+    for key in ("wake_hits", "ticks", "advanced_cycles", "skip_efficiency"):
+        if key not in wheel:
+            fail(f"{path}: profile.wheel missing key {key!r}")
+    eff = wheel["skip_efficiency"]
+    if not is_number(eff) or not 0.0 <= float(eff) <= 1.0:
+        fail(f"{path}: profile.wheel.skip_efficiency must be in [0, 1], got {eff}")
+    print(
+        f"validate_trace: OK: {path}: {share_sum:.1f}% phase shares, "
+        f"op_gen {op_gen:.1f}%, skip efficiency {float(eff):.3f}"
+    )
+
+
 def main() -> None:
     if len(sys.argv) == 1:
         validate_jsonl_stdin()
@@ -210,10 +279,12 @@ def main() -> None:
         validate_trace_file(sys.argv[2])
     elif len(sys.argv) == 3 and sys.argv[1] == "metrics":
         validate_metrics_file(sys.argv[2])
+    elif len(sys.argv) == 3 and sys.argv[1] == "profile":
+        validate_profile_file(sys.argv[2])
     else:
         fail(
-            f"usage: {sys.argv[0]} "
-            "[trace <file.trace.json> | metrics <file.metrics.jsonl>]"
+            f"usage: {sys.argv[0]} [trace <file.trace.json> | "
+            "metrics <file.metrics.jsonl> | profile <file.profile.json>]"
         )
 
 

@@ -2,8 +2,8 @@
 //! the next scheduled wake source — including fault arrivals and
 //! single-OS trap polls, which the pre-wheel fast-forward could not
 //! skip over — must leave every report and every recorded metrics
-//! series bit-identical, across the `MMM_EVENT_WHEEL` escape hatch
-//! and the experiment driver's worker-thread count.
+//! series bit-identical, with cycle skipping on or off and at any
+//! worker-thread count of the experiment driver.
 
 use mixed_mode_multicore::mmm::{Experiment, MixedPolicy, Workload};
 use mixed_mode_multicore::prelude::*;
@@ -13,9 +13,6 @@ fn canonical_json(mut r: mixed_mode_multicore::mmm::SystemReport) -> String {
     r.to_json()
 }
 
-/// All comparisons live in one test function: the escape hatch is a
-/// process-global environment variable, and concurrently running test
-/// threads must not observe it mid-flight.
 #[test]
 fn event_wheel_is_a_pure_throughput_knob_under_injection() {
     let mut e = Experiment::default();
@@ -38,10 +35,6 @@ fn event_wheel_is_a_pure_throughput_knob_under_injection() {
     ];
 
     // Baseline: wheel enabled (the default).
-    assert!(
-        std::env::var_os("MMM_EVENT_WHEEL").is_none(),
-        "test requires a clean environment"
-    );
     let baseline: Vec<(String, _)> = modes
         .iter()
         .map(|&w| {
@@ -53,7 +46,8 @@ fn event_wheel_is_a_pure_throughput_knob_under_injection() {
 
     // Skip machinery fully off: same reports, same series (the wheel
     // only ever picks the *next* cycle to simulate; simulated cycles
-    // are identical).
+    // are identical) — run by run, and through the work-queue at
+    // several pool sizes.
     let mut noskip = e.clone();
     noskip.cycle_skipping = false;
     for (&w, (json, series)) in modes.iter().zip(&baseline) {
@@ -72,42 +66,18 @@ fn event_wheel_is_a_pure_throughput_knob_under_injection() {
         );
     }
 
-    // Escape hatch: wheel disabled by env, per-core skipping still on.
-    std::env::set_var("MMM_EVENT_WHEEL", "off");
-    for (&w, (json, series)) in modes.iter().zip(&baseline) {
-        let mut r = e.run_one(w, 7).unwrap();
-        assert_eq!(
-            r.series.take().as_ref(),
-            Some(series),
-            "{}: series must be wheel-invariant",
-            w.name()
-        );
-        assert_eq!(
-            &canonical_json(r),
-            json,
-            "{}: MMM_EVENT_WHEEL=off must not change the report",
-            w.name()
-        );
-    }
-    // And through the work-queue at several pool sizes.
     for threads in [1, 4] {
-        let many = e.run_many_on(&modes, threads).unwrap();
+        let many = noskip.run_many_on(&modes, threads).unwrap();
         for (run, (json, series)) in many.iter().zip(&baseline) {
             let mut r = run.reports[0].clone();
             assert_eq!(r.series.take().as_ref(), Some(series));
             assert_eq!(
                 &canonical_json(r),
                 json,
-                "wheel-off reports must not depend on thread count ({threads})"
+                "skip-off reports must not depend on thread count ({threads})"
             );
         }
     }
-    std::env::remove_var("MMM_EVENT_WHEEL");
-
-    // Back on: still the baseline (the hatch leaves no residue).
-    let mut r = e.run_one(modes[0], 7).unwrap();
-    r.series.take();
-    assert_eq!(canonical_json(r), baseline[0].0);
 }
 
 /// Pre-drawn geometric inter-arrival times are the same random
