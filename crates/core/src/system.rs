@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use mmm_cpu::{Boundary, Core, CoreStats, ExecContext, Filter, PabPort, PhaseTracker};
+use mmm_cpu::{Boundary, Core, CoreStats, ExecContext, Filter, OpFeeder, PabPort, PhaseTracker};
 use mmm_mem::request::store_token;
 use mmm_mem::{MemStats, MemorySystem};
 use mmm_reunion::{DmrPair, PairStats};
@@ -434,6 +434,10 @@ pub struct System {
     /// determinism tests turn it off to prove reports and sampled
     /// series are identical either way.
     skip_enabled: bool,
+    /// Generates every VCPU's op stream ahead on a helper thread,
+    /// started at the first `tick`/`run` (so building a machine costs
+    /// no thread) and joined when the system drops.
+    feeder: OpFeeder,
 }
 
 impl System {
@@ -478,6 +482,10 @@ impl System {
         let pabs = (0..cfg.cores)
             .map(|_| Rc::new(RefCell::new(Pab::new(cfg.pab))))
             .collect();
+        let mut feeder = OpFeeder::new();
+        for ctx in vcpus.iter().filter_map(|v| v.parked_ctx.as_ref()) {
+            feeder.register(ctx);
+        }
         let n_vcpus = vcpus.len();
         // The timeslice boundary only drives gang and overcommit
         // scheduling; for every other workload it stays parked.
@@ -517,6 +525,7 @@ impl System {
             wheel,
             measure_start: 0,
             skip_enabled: true,
+            feeder,
         };
         sys.prewarm_scratchpad();
         sys.install_initial_assignments();
@@ -1518,6 +1527,12 @@ impl System {
 
     /// Advances the machine one cycle.
     pub fn tick(&mut self) {
+        self.feeder.start();
+        self.step();
+    }
+
+    /// One cycle of the main loop (see [`System::tick`]).
+    fn step(&mut self) {
         let now = self.cycle;
         {
             // Wake-slot checks and the fault-arrival poll are wheel
@@ -1671,9 +1686,10 @@ impl System {
 
     /// Runs for `cycles` cycles.
     pub fn run(&mut self, cycles: u64) {
+        self.feeder.start();
         let end = self.cycle + cycles;
         while self.cycle < end {
-            self.tick();
+            self.step();
         }
         // A fast-forward may overshoot the run boundary; nothing
         // happens in the overshot span, so resuming at `end` is exact.
@@ -1883,6 +1899,30 @@ mod tests {
         // test runs.
         cfg.virt.timeslice_cycles = 50_000;
         cfg
+    }
+
+    #[test]
+    fn op_feeder_starts_at_the_first_run_and_is_joined_on_drop() {
+        let mut sys = System::new(
+            &SystemConfig::default(),
+            Workload::NoDmr2x(Benchmark::Pmake),
+            1,
+        )
+        .unwrap();
+        assert!(
+            !sys.feeder.is_running(),
+            "building a machine starts no thread"
+        );
+        assert_eq!(sys.feeder.feeds(), 16);
+        sys.run(1_000);
+        assert!(sys.feeder.is_running());
+        let probe = sys.feeder.helper_probe();
+        assert!(probe.upgrade().is_some());
+        drop(sys);
+        assert!(
+            probe.upgrade().is_none(),
+            "dropping the system joins the helper"
+        );
     }
 
     #[test]

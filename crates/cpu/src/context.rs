@@ -30,12 +30,26 @@
 //! each other (neither commits without the partner's fingerprint), so
 //! the ring's initial capacity is rarely exceeded; it doubles if a
 //! decoupled survivor drifts further ahead.
+//!
+//! # Generation runs ahead of the ring
+//!
+//! "Generates forward" mostly means copying: the generator behind the
+//! ring is a [`crate::feeder`] feed, which the machine's
+//! [`crate::OpFeeder`] keeps up to two 128-op batches ahead on its
+//! helper thread. When no batch is ready (no feeder, or the helper is
+//! behind) the refill generates the next batch itself under the feed's
+//! lock. The op sequence is the same either way, so nothing a core
+//! sees depends on the helper. The self-profiler's op-generation phase
+//! is the time the simulation thread spends in this step.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use mmm_trace::{ProfPhase, Profiler};
 use mmm_types::{PhysAddr, VcpuId, VmId};
 use mmm_workload::{MicroOp, OpClass, OpSource, OpStream, Privilege, TraceReplay};
+
+use crate::feeder::Feed;
 
 /// Ops copied into a context-local window per shared-ring visit. One
 /// refcount-free window covers several simulated cycles of a 2-wide
@@ -63,7 +77,9 @@ const FILLER: MicroOp = MicroOp {
 /// ops in a power-of-two ring indexed by sequence number.
 #[derive(Clone, Debug)]
 struct SharedStream {
-    source: OpSource,
+    /// The stream's generator, possibly running ahead on an
+    /// [`crate::OpFeeder`]'s helper thread.
+    feed: Feed,
     /// Ring slot for seq `q` is `ring[q & mask]`; holds `[floor, next_gen)`.
     ring: Vec<MicroOp>,
     mask: u64,
@@ -74,25 +90,33 @@ struct SharedStream {
     floor: u64,
     /// Consumption cursor per fork side, reported at window refills.
     taken: [u64; 2],
+    /// Self-profiler handle; generation on this thread is
+    /// [`ProfPhase::OpGen`].
+    profiler: Profiler,
 }
 
 impl SharedStream {
     fn new(source: OpSource) -> Self {
         Self {
-            source,
+            feed: Feed::new(source),
             ring: vec![FILLER; RING_CAP],
             mask: RING_CAP as u64 - 1,
             next_gen: 0,
             floor: 0,
             taken: [0; 2],
+            profiler: Profiler::off(),
         }
     }
 
-    /// Generates forward until op `want - 1` exists in the ring.
-    /// Batched: each pass generates up to the ring headroom in one
-    /// [`OpSource::next_ops`] call (one profiler probe per window, not
-    /// per op).
+    /// Generates forward until op `want - 1` exists in the ring, in
+    /// runs of up to the ring headroom. The time this thread spends
+    /// here — copying batches the feeder generated ahead, or
+    /// generating them itself — is the op-generation phase.
     fn generate_to(&mut self, want: u64) {
+        if self.next_gen >= want {
+            return;
+        }
+        let _prof = self.profiler.enter(ProfPhase::OpGen);
         while self.next_gen < want {
             if self.next_gen - self.floor >= self.ring.len() as u64 {
                 self.grow();
@@ -102,7 +126,7 @@ impl SharedStream {
             let mask = self.mask;
             let ring = &mut self.ring;
             let mut q = self.next_gen;
-            self.source.next_ops(n, |op| {
+            self.feed.next_ops(n, |op| {
                 ring[(q & mask) as usize] = op;
                 q += 1;
             });
@@ -240,11 +264,16 @@ impl ExecContext {
         }
     }
 
-    /// Installs a self-profiler handle on the shared op source, so
-    /// generation cost is attributed no matter which fork side
-    /// triggers it. Purely observational.
-    pub fn set_profiler(&mut self, profiler: mmm_trace::Profiler) {
-        self.stream.borrow_mut().source.set_profiler(profiler);
+    /// Installs a self-profiler handle on the shared stream, so the
+    /// simulation thread's op-generation time is attributed no matter
+    /// which fork side triggers it. Purely observational.
+    pub fn set_profiler(&mut self, profiler: Profiler) {
+        self.stream.borrow_mut().profiler = profiler;
+    }
+
+    /// Runs `f` on the feed behind this context's stream.
+    pub(crate) fn with_feed<R>(&self, f: impl FnOnce(&mut Feed) -> R) -> R {
+        f(&mut self.stream.borrow_mut().feed)
     }
 
     /// The VCPU this context belongs to.

@@ -21,6 +21,7 @@
 pub mod channel;
 pub mod context;
 pub mod core;
+pub mod feeder;
 pub mod filter;
 pub mod gate;
 pub mod pab;
@@ -31,6 +32,7 @@ pub mod tlb;
 pub use channel::{PairChannel, PairStats, Side};
 pub use context::ExecContext;
 pub use core::{Boundary, Core};
+pub use feeder::OpFeeder;
 pub use filter::{Filter, PabPort, StoreFilter};
 pub use gate::{CommitGate, Gate, PairGate};
 pub use pab::{Pab, PabStats};

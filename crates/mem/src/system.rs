@@ -85,10 +85,17 @@ impl MemorySystem {
         let n = cfg.cores as usize;
         Self {
             cfg: cfg.clone(),
+            // The L3 array (4 MB by default) is allocated first: a
+            // process that builds machine after machine (a campaign
+            // worker, the benchmark) then puts each new L3 back into
+            // the heap hole the previous one left, before smaller
+            // allocations kept alive between machines can split it.
+            // Allocated last, it eventually fits no hole and the heap
+            // grows by its size.
+            l3: SetAssocCache::new(cfg.mem.l3),
             l1i: (0..n).map(|_| SetAssocCache::new(cfg.mem.l1i)).collect(),
             l1d: (0..n).map(|_| SetAssocCache::new(cfg.mem.l1d)).collect(),
             l2: (0..n).map(|_| SetAssocCache::new(cfg.mem.l2)).collect(),
-            l3: SetAssocCache::new(cfg.mem.l3),
             dir: Directory::new(),
             versions: LineMap::default(),
             dram: Dram::new(cfg.mem.dram_latency, cfg.mem.dram_bytes_per_cycle),

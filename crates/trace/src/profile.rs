@@ -235,12 +235,19 @@ impl Profiler {
     }
 
     /// Enters `phase`, suspending the enclosing phase's clock until
-    /// the returned guard drops. One branch when the profiler is off.
+    /// the returned guard drops. One branch when the profiler is off;
+    /// the recording path is out of line.
     #[inline]
     pub fn enter(&self, phase: ProfPhase) -> ProfScope {
-        let Some(inner) = &self.inner else {
-            return ProfScope { inner: None };
-        };
+        match &self.inner {
+            None => ProfScope { inner: None },
+            Some(inner) => Self::enter_recording(inner, phase),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn enter_recording(inner: &Rc<RefCell<ProfCore>>, phase: ProfPhase) -> ProfScope {
         {
             let mut c = inner.borrow_mut();
             if !c.running {
@@ -331,13 +338,27 @@ pub struct ProfScope {
     inner: Option<Rc<RefCell<ProfCore>>>,
 }
 
-impl Drop for ProfScope {
-    fn drop(&mut self) {
-        let Some(inner) = &self.inner else { return };
+impl ProfScope {
+    /// Leaves the scope: flushes its phase and resumes the enclosing
+    /// one.
+    #[cold]
+    #[inline(never)]
+    fn leave(inner: Rc<RefCell<ProfCore>>) {
         let mut c = inner.borrow_mut();
         c.flush(Instant::now());
         if let Some(prev) = c.stack.pop() {
             c.current = prev;
+        }
+    }
+}
+
+impl Drop for ProfScope {
+    /// One branch for the no-op guard; the recording path is out of
+    /// line, so a disabled probe inlines to a null test.
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(inner) = self.inner.take() {
+            Self::leave(inner);
         }
     }
 }

@@ -31,8 +31,7 @@ impl OpSource {
     }
 
     /// Produces `n` consecutive ops through `sink` — identical to `n`
-    /// [`OpSource::next_op`] calls, but a live stream charges one
-    /// profiler probe for the whole batch.
+    /// [`OpSource::next_op`] calls.
     pub fn next_ops(&mut self, n: u64, mut sink: impl FnMut(MicroOp)) {
         match self {
             OpSource::Stream(s) => s.next_ops(n, sink),
@@ -59,16 +58,14 @@ impl OpSource {
             OpSource::Replay(r) => r.vcpu(),
         }
     }
-
-    /// Installs a self-profiler handle on the live stream. Replay
-    /// sources do no generation work worth attributing, so they
-    /// ignore the handle.
-    pub fn set_profiler(&mut self, profiler: mmm_trace::Profiler) {
-        if let OpSource::Stream(s) = self {
-            s.set_profiler(profiler);
-        }
-    }
 }
+
+// A source is generated ahead on a helper thread (`mmm-cpu`'s op
+// feeder), so it must stay `Send`: no `Rc` may creep into a generator.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<OpSource>();
+};
 
 impl From<OpStream> for OpSource {
     fn from(s: OpStream) -> Self {

@@ -17,7 +17,6 @@ use mmm_types::{DetRng, PhysAddr, VcpuId, VmId};
 
 use crate::layout::AddressLayout;
 use crate::op::{MicroOp, OpClass, Privilege};
-use mmm_trace::{ProfPhase, Profiler};
 
 use crate::profile::{PhaseProfile, WorkloadProfile};
 
@@ -25,66 +24,256 @@ use crate::profile::{PhaseProfile, WorkloadProfile};
 /// rather than the read-hot head; see [`PhaseProfile::store_share_scale`]).
 const STORE_SPREAD_SKEW: f64 = 1.05;
 
-/// Precomputed power-law samplers for one phase's regions. Each is
-/// table-driven (built once per distinct `(lines, skew)` pair via the
-/// process-global cache in `mmm_types::sampler`) and bit-equal to the
-/// per-draw `powf` reference path it replaced.
+/// The 53-bit integer behind [`DetRng::unit`], which returns exactly
+/// `raw_unit · 2^-53`.
+#[inline]
+fn raw_unit(rng: &mut DetRng) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// The bound `t` with `k < t ⇔ k · 2^-53 < x` for every 53-bit `k`:
+/// `ceil(x · 2^53)`, exact because scaling by a power of two is exact
+/// in `f64`. A NaN maps to 0, as `unit() < NaN` never holds.
+fn unit_bound(x: f64) -> u64 {
+    (x * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// A Bernoulli trial compiled for the per-op path: the same outcome
+/// and the same keystream consumption as [`DetRng::chance`], with an
+/// integer compare in place of the float conversion and multiply.
+#[derive(Clone, Copy, Debug)]
+enum Chance {
+    /// `p <= 0`: false, no draw.
+    Never,
+    /// `p >= 1`: true, no draw.
+    Always,
+    /// One draw, true when its [`raw_unit`] is below the bound.
+    Below(u64),
+}
+
+impl Chance {
+    fn new(p: f64) -> Self {
+        if p <= 0.0 {
+            Chance::Never
+        } else if p >= 1.0 {
+            Chance::Always
+        } else {
+            Chance::Below(unit_bound(p))
+        }
+    }
+
+    #[inline]
+    fn draw(self, rng: &mut DetRng) -> bool {
+        match self {
+            Chance::Never => false,
+            Chance::Always => true,
+            Chance::Below(t) => raw_unit(rng) < t,
+        }
+    }
+}
+
+/// A shared region (OS data or shared heap) as one access kind sees
+/// it. Each sampler is table-driven (built once per distinct
+/// `(lines, skew)` pair via the process-global cache in
+/// `mmm_types::sampler`) and bit-equal to the per-draw `powf`
+/// reference path.
 #[derive(Clone, Debug)]
-struct PhaseSamplers {
-    hot: PowerLawSampler,
+struct Region {
+    sampler: PowerLawSampler,
+    /// Lines in the region (the sampler's domain).
+    n: u64,
+    /// This VCPU's read-affinity rotation, pre-reduced mod `n`.
+    offset: u64,
+}
+
+impl Region {
+    fn new(n: u64, skew: f64, vcpu: VcpuId) -> Option<Self> {
+        (n > 0).then(|| Region {
+            sampler: PowerLawSampler::new(n, skew),
+            n,
+            offset: (vcpu.index() as u64).wrapping_mul(n / 24 + 1) % n,
+        })
+    }
+}
+
+/// Where one access kind (loads or stores) lands once it misses the
+/// hot and warm sets.
+#[derive(Clone, Debug)]
+struct Spread {
+    /// A [`raw_unit`] below this picks the OS-data region.
+    os_below: u64,
+    /// A [`raw_unit`] below this (and not below `os_below`) picks the
+    /// shared heap.
+    shared_below: u64,
+    /// `None` for a zero-line region, which is never picked.
+    os: Option<Region>,
+    shared: Option<Region>,
+}
+
+/// One privilege phase's [`PhaseProfile`] compiled into the draws the
+/// per-op path makes: probabilities as [`Chance`]s, cumulative class
+/// mixes and region shares as [`raw_unit`] bounds (from the same
+/// left-to-right `f64` sums the profile defines), and every sampler
+/// and offset that depends only on the phase and the VCPU.
+#[derive(Clone, Debug)]
+struct PhasePlan {
+    si: Chance,
+    /// Cumulative bounds of the class draw: load, store, branch, long
+    /// ALU; anything above is a plain ALU op.
+    class_below: [u64; 4],
+    mispredict: Chance,
+    jump: Chance,
+    hot: Chance,
+    /// `p_warm / (1 - p_hot)`, or `Never` without a warm set.
+    warm: Chance,
+    true_share: Chance,
+    hot_lines: u64,
+    warm_lines: u64,
+    load: Spread,
+    store: Spread,
+    hot_set: PowerLawSampler,
     private: PowerLawSampler,
-    os: Option<PowerLawSampler>,
-    shared: Option<PowerLawSampler>,
-    os_store: Option<PowerLawSampler>,
-    shared_store: Option<PowerLawSampler>,
     code: PowerLawSampler,
+    /// First code line of the phase's window: OS code sits
+    /// immediately above user code.
+    code_base: u64,
+    /// Code window size in bytes.
+    window_bytes: u64,
 }
 
-impl PhaseSamplers {
-    /// The `(lines, skew)` domain of each sampler, in field order. The
-    /// four middle regions are optional: a zero-line region gets no
-    /// sampler.
-    fn shapes(p: &PhaseProfile) -> [(u64, f64); 7] {
-        [
-            (p.hot_lines, p.skew),
-            (p.private_lines, p.skew),
-            (p.os_lines, p.skew),
-            (p.shared_lines, p.skew),
-            (p.os_lines, STORE_SPREAD_SKEW),
-            (p.shared_lines, STORE_SPREAD_SKEW),
-            (p.code_lines, p.code_skew),
-        ]
-    }
+/// The `(lines, skew)` domain of each sampler a phase draws from:
+/// hot set, private heap, OS data, shared heap, OS-data stores,
+/// shared-heap stores, code. The four region domains may be empty.
+fn sampler_shapes(p: &PhaseProfile) -> [(u64, f64); 7] {
+    [
+        (p.hot_lines, p.skew),
+        (p.private_lines, p.skew),
+        (p.os_lines, p.skew),
+        (p.shared_lines, p.skew),
+        (p.os_lines, STORE_SPREAD_SKEW),
+        (p.shared_lines, STORE_SPREAD_SKEW),
+        (p.code_lines, p.code_skew),
+    ]
+}
 
-    fn new(p: &PhaseProfile) -> Self {
-        let [hot, private, os, shared, os_store, shared_store, code] = Self::shapes(p);
-        let opt = |(n, skew): (u64, f64)| (n > 0).then(|| PowerLawSampler::new(n, skew));
-        Self {
-            hot: PowerLawSampler::new(hot.0, hot.1),
+impl PhasePlan {
+    fn new(p: &PhaseProfile, vcpu: VcpuId, code_base: u64) -> Self {
+        let [hot, private, os, shared, os_store, shared_store, code] = sampler_shapes(p);
+        let spread = |p_os: f64, p_shared: f64, os: (u64, f64), shared: (u64, f64)| Spread {
+            os_below: unit_bound(p_os),
+            shared_below: unit_bound(p_os + p_shared),
+            os: Region::new(os.0, os.1, vcpu),
+            shared: Region::new(shared.0, shared.1, vcpu),
+        };
+        let load = p.load_frac;
+        let store = load + p.store_frac;
+        let branch = store + p.branch_frac;
+        let long_alu = branch + p.long_alu_frac;
+        PhasePlan {
+            si: Chance::new(p.si_rate),
+            class_below: [load, store, branch, long_alu].map(unit_bound),
+            mispredict: Chance::new(p.mispredict_rate),
+            jump: Chance::new(p.jump_rate),
+            hot: Chance::new(p.p_hot),
+            warm: if p.warm_lines > 0 {
+                Chance::new(p.p_warm / (1.0 - p.p_hot))
+            } else {
+                Chance::Never
+            },
+            true_share: Chance::new(p.p_true_share),
+            hot_lines: p.hot_lines,
+            warm_lines: p.warm_lines,
+            load: spread(p.p_os_data, p.p_shared, os, shared),
+            // Shared data is read-mostly: stores reach the shared
+            // regions at a scaled-down rate, and when they do they
+            // spread flatly over the footprint (appends, logs) instead
+            // of hammering the read-hot head.
+            store: spread(
+                p.p_os_data * p.store_share_scale,
+                p.p_shared * p.store_share_scale,
+                os_store,
+                shared_store,
+            ),
+            hot_set: PowerLawSampler::new(hot.0, hot.1),
             private: PowerLawSampler::new(private.0, private.1),
-            os: opt(os),
-            shared: opt(shared),
-            os_store: opt(os_store),
-            shared_store: opt(shared_store),
             code: PowerLawSampler::new(code.0, code.1),
+            code_base,
+            window_bytes: p.code_lines * 64,
         }
     }
-}
 
-/// All precomputed samplers for one stream, indexed `[user, os]`.
-#[derive(Clone, Debug)]
-struct StreamSamplers {
-    phase: [PhaseSamplers; 2],
-}
+    /// Picks a data address. A `p_hot` fraction of accesses lands in
+    /// the small private hot set (stack/top-of-heap — the
+    /// short-reuse-distance traffic behind real L1 hit rates); the
+    /// rest goes to the warm set, the OS region, the shared heap, or
+    /// the full private footprint, each with power-law reuse.
+    #[inline]
+    fn data_address(&self, rng: &mut DetRng, vm: VmId, vcpu: VcpuId, is_store: bool) -> PhysAddr {
+        let layout = AddressLayout;
+        let line = if self.hot.draw(rng) {
+            layout.private_line(vm, vcpu, self.hot_set.sample(rng))
+        } else if self.warm.draw(rng) {
+            // Warm set: uniform reuse over a region sized between the
+            // L2 and an L3 share, immediately above the hot set.
+            layout.private_line(vm, vcpu, self.hot_lines + rng.below(self.warm_lines))
+        } else {
+            let spread = if is_store { &self.store } else { &self.load };
+            let r = raw_unit(rng);
+            if let Some(os) = spread.os.as_ref().filter(|_| r < spread.os_below) {
+                layout.os_line(vm, self.region_index(os, rng, is_store))
+            } else if let Some(shared) = spread.shared.as_ref().filter(|_| r < spread.shared_below)
+            {
+                layout.shared_line(vm, self.region_index(shared, rng, is_store))
+            } else {
+                layout.private_line(vm, vcpu, self.private.sample(rng))
+            }
+        };
+        PhysAddr(line.base().0 + rng.below(8) * 8)
+    }
 
-impl StreamSamplers {
-    fn new(profile: &WorkloadProfile) -> Self {
-        Self {
-            phase: [
-                PhaseSamplers::new(&profile.user),
-                PhaseSamplers::new(&profile.os),
-            ],
+    /// Draws a shared-region index and applies CPU affinity: reads
+    /// mostly target a per-VCPU-rotated window of the region (per-CPU
+    /// slabs, per-connection buffers); a `p_true_share` fraction — and
+    /// all stores, which are drawn flat — use the global frame.
+    #[inline]
+    fn region_index(&self, region: &Region, rng: &mut DetRng, is_store: bool) -> u64 {
+        let idx = region.sampler.sample(rng);
+        if is_store || self.true_share.draw(rng) {
+            return idx;
         }
+        // `idx < n` and `offset < n`, so the wrap is one subtract.
+        let rotated = idx + region.offset;
+        if rotated >= region.n {
+            rotated - region.n
+        } else {
+            rotated
+        }
+    }
+
+    /// Computes the fetch address and advances the sequential cursor.
+    #[inline]
+    fn fetch_address(&self, vm: VmId, fetch_cursor: &mut u64) -> PhysAddr {
+        let window_bytes = self.window_bytes;
+        // The cursor stays below the window except across a privilege
+        // switch (the two phases have different window sizes), so the
+        // common case needs no `%` — u64 division is the single most
+        // expensive ALU op on this per-op path.
+        let cursor = if *fetch_cursor < window_bytes {
+            *fetch_cursor
+        } else {
+            *fetch_cursor % window_bytes
+        };
+        let line_idx = self.code_base + cursor / 64;
+        let addr = PhysAddr(AddressLayout.code_line(vm, line_idx).base().0 + cursor % 64);
+        // `cursor < window_bytes` and both are multiples of 4, so the
+        // wrap is a single conditional subtract.
+        let next = cursor + 4;
+        *fetch_cursor = if next >= window_bytes {
+            next - window_bytes
+        } else {
+            next
+        };
+        addr
     }
 }
 
@@ -97,7 +286,6 @@ const SERIALIZING_LATENCY: u8 = 4;
 #[derive(Clone, Debug)]
 pub struct OpStream {
     profile: WorkloadProfile,
-    layout: AddressLayout,
     vm: VmId,
     vcpu: VcpuId,
     rng: DetRng,
@@ -108,10 +296,9 @@ pub struct OpStream {
     fetch_cursor: u64,
     /// Total ops generated (diagnostics).
     generated: u64,
-    /// Precomputed table-driven samplers for both privilege phases.
-    draws: StreamSamplers,
-    /// Self-profiler handle; one branch per op when off.
-    profiler: Profiler,
+    /// The compiled draws of both privilege phases, indexed by
+    /// [`Privilege`] (`[user, os]`).
+    plans: [PhasePlan; 2],
 }
 
 impl OpStream {
@@ -140,10 +327,12 @@ impl OpStream {
                 rng.geometric(1.0 / profile.mean_os_insts as f64),
             )
         };
-        let draws = StreamSamplers::new(&profile);
+        let plans = [
+            PhasePlan::new(&profile.user, vcpu, 0),
+            PhasePlan::new(&profile.os, vcpu, profile.user.code_lines),
+        ];
         Self {
             profile,
-            layout: AddressLayout::new(),
             vm,
             vcpu,
             rng,
@@ -151,16 +340,8 @@ impl OpStream {
             remaining,
             fetch_cursor: 0,
             generated: 0,
-            draws,
-            profiler: Profiler::off(),
+            plans,
         }
-    }
-
-    /// Installs a self-profiler handle so op generation attributes
-    /// its host cost to [`mmm_trace::ProfPhase::OpGen`]. Purely
-    /// observational: the generated op sequence is unchanged.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
     }
 
     /// The VM this stream belongs to.
@@ -188,34 +369,17 @@ impl OpStream {
         self.generated
     }
 
-    fn phase(&self) -> &PhaseProfile {
-        match self.privilege {
-            Privilege::User => &self.profile.user,
-            Privilege::Os => &self.profile.os,
+    /// Produces `n` consecutive ops through `sink`; the op sequence is
+    /// identical to `n` calls of [`OpStream::next_op`].
+    pub fn next_ops(&mut self, n: u64, mut sink: impl FnMut(MicroOp)) {
+        for _ in 0..n {
+            sink(self.next_op());
         }
     }
 
     /// Produces the next micro-op.
     #[inline]
     pub fn next_op(&mut self) -> MicroOp {
-        let _prof = self.profiler.enter(ProfPhase::OpGen);
-        self.gen_op()
-    }
-
-    /// Produces `n` consecutive ops through `sink` under one profiler
-    /// scope — the batch refill path pays one probe per window instead
-    /// of one per op. The op sequence is identical to `n` calls of
-    /// [`OpStream::next_op`].
-    pub fn next_ops(&mut self, n: u64, mut sink: impl FnMut(MicroOp)) {
-        let _prof = self.profiler.enter(ProfPhase::OpGen);
-        for _ in 0..n {
-            sink(self.gen_op());
-        }
-    }
-
-    /// The generation step itself, shared by the single-op and batch
-    /// entry points.
-    fn gen_op(&mut self) -> MicroOp {
         let mut enters_os = false;
         let mut exits_os = false;
         if self.remaining == 0 {
@@ -239,26 +403,24 @@ impl OpStream {
         self.remaining -= 1;
         self.generated += 1;
 
-        let phase = *self.phase();
         let privilege = self.privilege;
+        let plan = &self.plans[privilege as usize];
+        let rng = &mut self.rng;
 
         // Phase boundaries (trap entry / return-from-trap) are
         // architecturally serializing, as are the phase's own SIs.
-        let class = if enters_os || exits_os || self.rng.chance(phase.si_rate) {
+        let class = if enters_os || exits_os || plan.si.draw(rng) {
             OpClass::Serializing
         } else {
-            let r = self.rng.unit();
-            if r < phase.load_frac {
+            let r = raw_unit(rng);
+            let [load, store, branch, long_alu] = plan.class_below;
+            if r < load {
                 OpClass::Load
-            } else if r < phase.load_frac + phase.store_frac {
+            } else if r < store {
                 OpClass::Store
-            } else if r < phase.load_frac + phase.store_frac + phase.branch_frac {
+            } else if r < branch {
                 OpClass::Branch
-            } else if r < phase.load_frac
-                + phase.store_frac
-                + phase.branch_frac
-                + phase.long_alu_frac
-            {
+            } else if r < long_alu {
                 OpClass::LongAlu
             } else {
                 OpClass::Alu
@@ -266,23 +428,18 @@ impl OpStream {
         };
 
         let data_addr = match class {
-            OpClass::Load => Some(self.data_address(&phase, false)),
-            OpClass::Store => Some(self.data_address(&phase, true)),
+            OpClass::Load => Some(plan.data_address(rng, self.vm, self.vcpu, false)),
+            OpClass::Store => Some(plan.data_address(rng, self.vm, self.vcpu, true)),
             _ => None,
         };
 
-        let fetch_addr = self.fetch_address(&phase);
+        let fetch_addr = plan.fetch_address(self.vm, &mut self.fetch_cursor);
 
-        let mispredicted = class == OpClass::Branch && self.rng.chance(phase.mispredict_rate);
-        if class == OpClass::Branch && self.rng.chance(phase.jump_rate) {
+        let mispredicted = class == OpClass::Branch && plan.mispredict.draw(rng);
+        if class == OpClass::Branch && plan.jump.draw(rng) {
             // Jump to a power-law-popular code line (hot loops
             // dominate branch targets).
-            let code = &self.draws.phase[match self.privilege {
-                Privilege::User => 0,
-                Privilege::Os => 1,
-            }]
-            .code;
-            self.fetch_cursor = code.sample(&mut self.rng) * 64 + self.rng.below(16) * 4;
+            self.fetch_cursor = plan.code.sample(rng) * 64 + rng.below(16) * 4;
         }
 
         let exec_latency = match class {
@@ -301,115 +458,6 @@ impl OpStream {
             enters_os,
             exits_os,
         }
-    }
-
-    /// Picks a data address. A `p_hot` fraction of accesses lands in
-    /// the small private hot set (stack/top-of-heap — the
-    /// short-reuse-distance traffic behind real L1 hit rates); the
-    /// rest goes to the OS region, shared heap, or full private
-    /// footprint, each with power-law reuse.
-    fn data_address(&mut self, phase: &PhaseProfile, is_store: bool) -> PhysAddr {
-        // Samplers are borrowed in place (they are `Arc`-backed, not
-        // `Copy`); each call touches disjoint fields of `self`, so no
-        // clone happens on this per-load/store path.
-        let di = match self.privilege {
-            Privilege::User => 0,
-            Privilege::Os => 1,
-        };
-        if self.rng.chance(phase.p_hot) {
-            let idx = self.draws.phase[di].hot.sample(&mut self.rng);
-            let line = self.layout.private_line(self.vm, self.vcpu, idx);
-            return PhysAddr(line.base().0 + self.rng.below(8) * 8);
-        }
-        // Warm set: uniform reuse over a region sized between the L2
-        // and an L3 share, immediately above the hot set.
-        if phase.warm_lines > 0 && self.rng.chance(phase.p_warm / (1.0 - phase.p_hot)) {
-            let idx = phase.hot_lines + self.rng.below(phase.warm_lines);
-            let line = self.layout.private_line(self.vm, self.vcpu, idx);
-            return PhysAddr(line.base().0 + self.rng.below(8) * 8);
-        }
-        // Shared data is read-mostly: stores reach the shared regions
-        // at a scaled-down rate, and when they do they spread flatly
-        // over the footprint (appends, logs) instead of hammering the
-        // read-hot head.
-        let (p_os, p_shared) = if is_store {
-            (
-                phase.p_os_data * phase.store_share_scale,
-                phase.p_shared * phase.store_share_scale,
-            )
-        } else {
-            (phase.p_os_data, phase.p_shared)
-        };
-        let r = self.rng.unit();
-        let os_draw = if is_store {
-            &self.draws.phase[di].os_store
-        } else {
-            &self.draws.phase[di].os
-        };
-        let line = if let Some(pl) = os_draw.as_ref().filter(|_| r < p_os) {
-            let (raw, n) = (pl.sample(&mut self.rng), pl.n());
-            let idx = self.affine_index(raw, n, phase, is_store);
-            self.layout.os_line(self.vm, idx)
-        } else {
-            let shared_draw = if is_store {
-                &self.draws.phase[di].shared_store
-            } else {
-                &self.draws.phase[di].shared
-            };
-            if let Some(pl) = shared_draw.as_ref().filter(|_| r < p_os + p_shared) {
-                let (raw, n) = (pl.sample(&mut self.rng), pl.n());
-                let idx = self.affine_index(raw, n, phase, is_store);
-                self.layout.shared_line(self.vm, idx)
-            } else {
-                let idx = self.draws.phase[di].private.sample(&mut self.rng);
-                self.layout.private_line(self.vm, self.vcpu, idx)
-            }
-        };
-        PhysAddr(line.base().0 + self.rng.below(8) * 8)
-    }
-
-    /// Applies CPU affinity to a shared-region index: reads mostly
-    /// target a per-VCPU-rotated window of the region (per-CPU slabs,
-    /// per-connection buffers); a `p_true_share` fraction — and all
-    /// stores, which are drawn flat — use the global frame.
-    fn affine_index(&mut self, idx: u64, n: u64, phase: &PhaseProfile, is_store: bool) -> u64 {
-        if is_store || self.rng.chance(phase.p_true_share) {
-            return idx;
-        }
-        let offset = (self.vcpu.index() as u64).wrapping_mul(n / 24 + 1);
-        (idx + offset) % n
-    }
-
-    /// Computes the fetch address and advances the sequential cursor.
-    /// User code occupies the first lines of the VM's code region; OS
-    /// code sits immediately above it, so the two privilege levels
-    /// have disjoint instruction footprints.
-    fn fetch_address(&mut self, phase: &PhaseProfile) -> PhysAddr {
-        let os_offset = match self.privilege {
-            Privilege::User => 0,
-            Privilege::Os => self.profile.user.code_lines,
-        };
-        let window_bytes = phase.code_lines * 64;
-        // The cursor stays below the window except across a privilege
-        // switch (the two phases have different window sizes), so the
-        // common case needs no `%` — u64 division is the single most
-        // expensive ALU op on this per-op path.
-        let cursor = if self.fetch_cursor < window_bytes {
-            self.fetch_cursor
-        } else {
-            self.fetch_cursor % window_bytes
-        };
-        let line_idx = os_offset + cursor / 64;
-        let addr = PhysAddr(self.layout.code_line(self.vm, line_idx).base().0 + cursor % 64);
-        // `cursor < window_bytes` and both are multiples of 4, so the
-        // wrap is a single conditional subtract.
-        let next = cursor + 4;
-        self.fetch_cursor = if next >= window_bytes {
-            next - window_bytes
-        } else {
-            next
-        };
-        addr
     }
 }
 
@@ -435,7 +483,7 @@ mod tests {
             .iter()
             .map(|b| b.profile())
             .flat_map(|p| [p.user, p.os])
-            .flat_map(|phase| PhaseSamplers::shapes(&phase))
+            .flat_map(|phase| sampler_shapes(&phase))
             .filter(|&(n, _)| n > 0)
             .collect();
         shapes.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
