@@ -72,15 +72,12 @@ pub fn traced_run(
     }
     sys.attach_tracer(Tracer::ring(TRACE_RING));
     sys.attach_sampler(Sampler::every(SAMPLE_INTERVAL));
-    // With `MMM_FORENSICS` set, the traced run also records fault
+    // Under `MMM_FORENSICS=1`, the traced run also records fault
     // lifecycles and appends one async Perfetto span per fault
     // (injection → verdict, colored by outcome) to the trace. The
     // spans are strictly appended after the base events, so the
     // forensics-off document is a byte-identical prefix.
-    let forensic = std::env::var("MMM_FORENSICS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    if forensic {
+    if mmm_core::experiment::env_flag("MMM_FORENSICS") {
         sys.attach_forensics(Forensics::enabled(cfg.cores as usize, FORENSICS_WINDOW));
     }
     sys.run(TRACE_CYCLES);

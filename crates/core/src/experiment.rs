@@ -19,18 +19,19 @@
 //! * `MMM_SAMPLE_INTERVAL` — flight-recorder sampling interval in
 //!   simulated cycles (default: off). Sampling never changes
 //!   simulated timing or reported metrics.
-//! * `MMM_PROFILE` — self-profiler switch (default: off; any value
-//!   but `0` or empty enables). Attributes host wall-time to hot-loop
-//!   phases; never changes simulated timing or reported metrics.
-//! * `MMM_FORENSICS` — fault-forensics switch (default: off; any
-//!   value but `0` or empty enables). Gives every injected fault a
-//!   causal lifecycle record ([`SystemReport::forensics`]); never
+//! * `MMM_PROFILE` — self-profiler switch (default: off; `1`
+//!   enables). Attributes host wall-time to hot-loop phases; never
 //!   changes simulated timing or reported metrics.
+//! * `MMM_FORENSICS` — fault-forensics switch (default: off; `1`
+//!   enables). Gives every injected fault a causal lifecycle record
+//!   ([`SystemReport::forensics`]); never changes simulated timing or
+//!   reported metrics.
 //!
-//! The five numeric variables must hold a base-10 integer (empty
-//! counts as unset): a malformed value such as `MMM_MEASURE=2e6` stops
+//! The five numeric variables must hold a base-10 integer, and the two
+//! switches `0` or `1` (empty counts as unset, which is off): a
+//! malformed value such as `MMM_MEASURE=2e6` or `MMM_PROFILE=off` stops
 //! the process with an error naming the variable, instead of silently
-//! running the default length.
+//! running something else.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -116,15 +117,38 @@ pub fn parse_env_u64(name: &str, value: Option<&str>) -> std::result::Result<Opt
     }
 }
 
-/// Reads the numeric override `name` from the environment (see
-/// [`parse_env_u64`]). A malformed value is a usage error: it is
-/// reported on stderr and the process exits with status 2.
-pub fn env_u64(name: &str) -> Option<u64> {
+/// Parses the value of the on/off switch `name`: off when unset,
+/// empty or `0`, on when `1`, and an error naming the variable and its
+/// value otherwise.
+pub fn parse_env_flag(name: &str, value: Option<&str>) -> std::result::Result<bool, String> {
+    match value.map(str::trim) {
+        None | Some("") | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(v) => Err(format!("{name}={v:?} is not 0 or 1")),
+    }
+}
+
+/// Reads `name` from the environment and parses it with `parse`. A
+/// malformed value is a usage error: it is reported on stderr and the
+/// process exits with status 2.
+fn env_parsed<T>(name: &str, parse: fn(&str, Option<&str>) -> std::result::Result<T, String>) -> T {
     let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_env_u64(name, raw.as_deref()).unwrap_or_else(|msg| {
+    parse(name, raw.as_deref()).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2)
     })
+}
+
+/// Reads the numeric override `name` from the environment (see
+/// [`parse_env_u64`]); a malformed value exits with status 2.
+pub fn env_u64(name: &str) -> Option<u64> {
+    env_parsed(name, parse_env_u64)
+}
+
+/// Reads the on/off switch `name` from the environment (see
+/// [`parse_env_flag`]); a malformed value exits with status 2.
+pub fn env_flag(name: &str) -> bool {
+    env_parsed(name, parse_env_flag)
 }
 
 impl Experiment {
@@ -144,12 +168,8 @@ impl Experiment {
             e.seeds = (1..=seeds.max(1)).collect();
         }
         e.sample_interval = env_u64("MMM_SAMPLE_INTERVAL").filter(|&n| n > 0);
-        e.profile = std::env::var("MMM_PROFILE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        e.forensics = std::env::var("MMM_FORENSICS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
+        e.profile = env_flag("MMM_PROFILE");
+        e.forensics = env_flag("MMM_FORENSICS");
         self
     }
 
@@ -503,6 +523,21 @@ mod tests {
             let err = parse_env_u64("MMM_MEASURE", Some(bad)).unwrap_err();
             assert!(
                 err.contains("MMM_MEASURE") && err.contains(bad),
+                "error must name the variable and the value: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn switches_parse_strictly() {
+        for off in [None, Some(""), Some("0"), Some(" 0 ")] {
+            assert_eq!(parse_env_flag("MMM_PROFILE", off), Ok(false), "{off:?}");
+        }
+        assert_eq!(parse_env_flag("MMM_PROFILE", Some("1")), Ok(true));
+        for bad in ["off", "on", "true", "yes", "2", "01", "-1"] {
+            let err = parse_env_flag("MMM_FORENSICS", Some(bad)).unwrap_err();
+            assert!(
+                err.contains("MMM_FORENSICS") && err.contains(bad),
                 "error must name the variable and the value: {err}"
             );
         }

@@ -11,10 +11,10 @@
 //! The PAT content is the architectural source of truth; the per-core
 //! [`crate::pab::Pab`] caches 64-byte lines of it.
 
+use mmm_types::fastmap::FastMap;
 use mmm_types::LineAddr;
 use mmm_types::PageAddr;
 use mmm_workload::AddressLayout;
-use std::collections::HashMap;
 
 /// Pages covered by one 64-byte PAT line (64 B × 8 bits).
 pub const PAGES_PER_PAT_LINE: u64 = 512;
@@ -26,7 +26,9 @@ pub const PAGES_PER_PAT_LINE: u64 = 512;
 #[derive(Clone, Debug, Default)]
 pub struct Pat {
     /// Page-group index (`page / 512`) → 512-bit bitmap (8 × u64).
-    groups: HashMap<u64, [u64; 8]>,
+    /// The keys are the simulator's own page numbers, so the map uses
+    /// the multiply-xor hasher rather than SipHash.
+    groups: FastMap<u64, [u64; 8]>,
     layout: AddressLayout,
 }
 
@@ -49,10 +51,31 @@ impl Pat {
     }
 
     /// Marks a contiguous page range (system software marking a VM's
-    /// whole allocation).
+    /// whole allocation). Same result as calling [`Self::set_reliable`]
+    /// on every page, group materialization included, but one map
+    /// entry per 512-page group and one mask per 64-page word.
     pub fn set_range_reliable(&mut self, pages: std::ops::Range<u64>, reliable: bool) {
-        for p in pages {
-            self.set_reliable(PageAddr(p), reliable);
+        let mut page = pages.start;
+        while page < pages.end {
+            let group = self.groups.entry(page / PAGES_PER_PAT_LINE).or_default();
+            // The rest of the range inside this group, one word at a
+            // time: `n` pages (1..=64) from bit `bit` on.
+            loop {
+                let bit = page % PAGES_PER_PAT_LINE;
+                let word_end = (page | 63).saturating_add(1).min(pages.end);
+                let n = word_end - page;
+                let mask = (u64::MAX >> (64 - n)) << (bit % 64);
+                let word = &mut group[(bit / 64) as usize];
+                if reliable {
+                    *word |= mask;
+                } else {
+                    *word &= !mask;
+                }
+                page = word_end;
+                if page == pages.end || page.is_multiple_of(PAGES_PER_PAT_LINE) {
+                    break;
+                }
+            }
         }
     }
 

@@ -100,3 +100,52 @@ fn pat_range_updates_are_exact() {
         }
     }
 }
+
+/// A page count that lands on, just before, or just after a word or
+/// group boundary more often than a uniform draw would.
+fn edge_biased(rng: &mut DetRng, uniform_below: u64) -> u64 {
+    const EDGES: [u64; 9] = [0, 1, 63, 64, 65, 511, 512, 513, 1024];
+    if rng.chance(0.5) {
+        EDGES[rng.below(EDGES.len() as u64) as usize]
+    } else {
+        rng.below(uniform_below)
+    }
+}
+
+#[test]
+fn pat_range_marking_equals_per_page_marking() {
+    let mut gen = DetRng::new(0x9AD, 0);
+    let mut ranged = Pat::new();
+    let mut paged = Pat::new();
+    for case in 0..400 {
+        let start = gen.below(64) * 512 + edge_biased(&mut gen, 512);
+        let len = edge_biased(&mut gen, 2000);
+        let pages = start..start + len;
+        // Mostly set then clear; some ranges stay set, so later ranges
+        // overlap marks of both polarities, and some are only cleared,
+        // which still materializes their groups.
+        let passes: &[bool] = match gen.below(8) {
+            0 | 1 => &[true],
+            2 => &[false],
+            _ => &[true, false],
+        };
+        for &reliable in passes {
+            ranged.set_range_reliable(pages.clone(), reliable);
+            for p in pages.clone() {
+                paged.set_reliable(PageAddr(p), reliable);
+            }
+            for p in start.saturating_sub(70)..start + len + 70 {
+                assert_eq!(
+                    ranged.is_reliable(PageAddr(p)),
+                    paged.is_reliable(PageAddr(p)),
+                    "case {case}: page {p} after marking {pages:?} {reliable}"
+                );
+            }
+            assert_eq!(
+                ranged.resident_bytes(),
+                paged.resident_bytes(),
+                "case {case}: groups materialized by {pages:?}"
+            );
+        }
+    }
+}

@@ -103,12 +103,8 @@ impl Pab {
             self.stats.misses += 1;
             // Fetch the PAT line like any cacheable data.
             let acc = mem.load(core, backing, true, now);
-            self.entries.insert(CacheLine {
-                addr: backing,
-                state: Mosi::Shared,
-                version: acc.version,
-                coherent: true,
-            });
+            self.entries
+                .insert(CacheLine::new(backing, Mosi::Shared, acc.version, true));
             acc.complete_at + serial_extra
         };
         self.stats.serialization_penalty.record(ready - now);

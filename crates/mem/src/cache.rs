@@ -4,6 +4,13 @@
 //! `mmm-core` crate, for the Protection Assistance Buffer). One
 //! structure serves all levels; level-specific behaviour (write-through,
 //! exclusivity, coherence) lives in [`crate::system::MemorySystem`].
+//!
+//! The default machine's caches hold 270 336 ways (16 × (L1-I + L1-D +
+//! L2) plus the L3), and every one is written when the machine is
+//! built, so a way is kept small: one 24-byte [`CacheLine`] whose
+//! padding holds the way's `u32` recency stamp, with a reserved
+//! address marking an empty way instead of an `Option` tag. That is
+//! 6.2 MiB per machine, 2 MiB less than a 32-byte way.
 
 use mmm_types::config::CacheGeometry;
 use mmm_types::LineAddr;
@@ -41,7 +48,11 @@ impl Mosi {
 }
 
 /// One resident cache line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Built with [`CacheLine::new`]: the line also carries the recency
+/// stamp of the cache way holding it, which only [`SetAssocCache`]
+/// reads or writes. Equality compares the four public fields.
+#[derive(Clone, Copy, Debug)]
 pub struct CacheLine {
     /// The line's physical address (line-granular).
     pub addr: LineAddr,
@@ -55,24 +66,63 @@ pub struct CacheLine {
     /// why this is a per-line bit — exactly the bit the paper adds to
     /// each line's state field (§3.4.3).
     pub coherent: bool,
+    /// True-LRU stamp of the way holding the line (see
+    /// [`SetAssocCache`]); meaningless outside the cache.
+    lru: u32,
 }
 
-#[derive(Clone, Debug)]
-struct Slot {
-    line: Option<CacheLine>,
-    lru: u64,
+impl CacheLine {
+    /// A line with the given address, state, data version and
+    /// coherence bit.
+    #[inline]
+    pub const fn new(addr: LineAddr, state: Mosi, version: VersionToken, coherent: bool) -> Self {
+        Self {
+            addr,
+            state,
+            version,
+            coherent,
+            lru: 0,
+        }
+    }
 }
+
+impl PartialEq for CacheLine {
+    fn eq(&self, other: &Self) -> bool {
+        self.addr == other.addr
+            && self.state == other.state
+            && self.version == other.version
+            && self.coherent == other.coherent
+    }
+}
+
+impl Eq for CacheLine {}
+
+/// Address of an empty way. Real line addresses derive from physical
+/// addresses far below 2^63, so no resident line carries it.
+const EMPTY: LineAddr = LineAddr(u64::MAX);
+
+/// An empty way.
+const EMPTY_WAY: CacheLine = CacheLine::new(EMPTY, Mosi::Shared, 0, true);
 
 /// A set-associative cache with true-LRU replacement.
+///
+/// Each way is one 24-byte [`CacheLine`]; an empty way holds the
+/// address `u64::MAX`. Every `lookup` and `insert` takes the next value
+/// of a cache-wide `u32` stamp and writes it into the way it touches;
+/// a full set evicts its lowest stamp. Only the order of stamps within
+/// one set decides a victim, so when the counter would wrap,
+/// `renumber` replaces each set's stamps by their rank
+/// in that set — the same order, hence the same victims, as an
+/// unbounded counter — and the count restarts above the largest rank.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    sets: Vec<Slot>,
+    lines: Vec<CacheLine>,
     ways: usize,
     set_mask: u64,
-    stamp: u64,
+    stamp: u32,
     /// Per-set way of the last lookup hit — a pure probe accelerator.
     /// A set holds at most one copy of an address, so checking the
-    /// hinted way first returns the same slot the linear scan would;
+    /// hinted way first returns the same way the linear scan would;
     /// hit/miss results and LRU stamps are identical either way.
     way_hint: Vec<u8>,
 }
@@ -89,7 +139,7 @@ impl SetAssocCache {
         let ways = geom.associativity as usize;
         assert!(ways <= 256, "way hints are byte-sized");
         Self {
-            sets: vec![Slot { line: None, lru: 0 }; sets * ways],
+            lines: vec![EMPTY_WAY; sets * ways],
             ways,
             set_mask: sets as u64 - 1,
             stamp: 0,
@@ -99,12 +149,12 @@ impl SetAssocCache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len() / self.ways
+        self.lines.len() / self.ways
     }
 
     /// Total slots (sets × ways).
     pub fn slot_count(&self) -> usize {
-        self.sets.len()
+        self.lines.len()
     }
 
     #[inline]
@@ -113,32 +163,67 @@ impl SetAssocCache {
         set * self.ways..(set + 1) * self.ways
     }
 
-    /// Looks up `addr`; on a hit, refreshes LRU and returns a mutable
-    /// reference to the line.
-    pub fn lookup(&mut self, addr: LineAddr) -> Option<&mut CacheLine> {
+    /// The next recency stamp, renumbering every set first when the
+    /// counter would wrap.
+    #[inline]
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.renumber();
+        }
         self.stamp += 1;
-        let stamp = self.stamp;
+        self.stamp
+    }
+
+    /// Replaces each resident line's stamp by its rank (1 = least
+    /// recent) among the resident lines of its set, and restarts the
+    /// counter at the largest possible rank. Stamps within a set are
+    /// distinct, so ranks keep their exact order. (Empty ways keep
+    /// theirs: a way's stamp is rewritten whenever it is filled.)
+    #[cold]
+    fn renumber(&mut self) {
+        for set in self.lines.chunks_mut(self.ways) {
+            let old: Vec<Option<u32>> = set
+                .iter()
+                .map(|l| (l.addr != EMPTY).then_some(l.lru))
+                .collect();
+            for (line, &mine) in set.iter_mut().zip(&old) {
+                if let Some(mine) = mine {
+                    line.lru = 1 + old.iter().flatten().filter(|&&s| s < mine).count() as u32;
+                }
+            }
+        }
+        self.stamp = self.ways as u32;
+    }
+
+    /// Sets the recency counter, so tests can drive it across the wrap.
+    #[cfg(test)]
+    fn set_stamp(&mut self, stamp: u32) {
+        self.stamp = stamp;
+    }
+
+    /// Looks up `addr`; on a hit, refreshes LRU and returns a mutable
+    /// reference to the line. Callers update the line's fields in
+    /// place; assigning a whole new line through the reference would
+    /// also reset its recency.
+    pub fn lookup(&mut self, addr: LineAddr) -> Option<&mut CacheLine> {
+        let stamp = self.next_stamp();
         let set = (addr.0 & self.set_mask) as usize;
         let base = set * self.ways;
         // Probe the way that hit here last — under power-law reuse
         // most lookups land on it, skipping the associative scan.
         let hinted = base + self.way_hint[set] as usize;
-        if self.sets[hinted]
-            .line
-            .as_ref()
-            .is_some_and(|l| l.addr == addr)
-        {
-            let slot = &mut self.sets[hinted];
-            slot.lru = stamp;
-            return slot.line.as_mut();
-        }
-        let hit = self.sets[base..base + self.ways]
-            .iter_mut()
-            .position(|s| s.line.as_ref().is_some_and(|l| l.addr == addr))?;
-        self.way_hint[set] = hit as u8;
-        let slot = &mut self.sets[base + hit];
-        slot.lru = stamp;
-        slot.line.as_mut()
+        let way = if self.lines[hinted].addr == addr {
+            hinted
+        } else {
+            let hit = self.lines[base..base + self.ways]
+                .iter()
+                .position(|l| l.addr == addr)?;
+            self.way_hint[set] = hit as u8;
+            base + hit
+        };
+        let line = &mut self.lines[way];
+        line.lru = stamp;
+        Some(line)
     }
 
     /// Looks up `addr` without touching LRU state (for probes that
@@ -146,57 +231,47 @@ impl SetAssocCache {
     /// other caches and directory consistency checks).
     pub fn peek(&self, addr: LineAddr) -> Option<&CacheLine> {
         let range = self.set_range(addr);
-        self.sets[range]
-            .iter()
-            .filter_map(|s| s.line.as_ref())
-            .find(|l| l.addr == addr)
+        self.lines[range].iter().find(|l| l.addr == addr)
     }
 
     /// Inserts a line, evicting the LRU victim of its set if full.
     /// Returns the victim. If the address is already resident, the
     /// existing line is overwritten in place and `None` is returned.
-    pub fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
-        self.stamp += 1;
-        let stamp = self.stamp;
+    pub fn insert(&mut self, mut line: CacheLine) -> Option<CacheLine> {
+        debug_assert_ne!(line.addr, EMPTY, "the empty-way address is reserved");
+        line.lru = self.next_stamp();
         let range = self.set_range(line.addr);
-        let set = &mut self.sets[range];
-        // Overwrite an existing copy of the same address.
-        if let Some(slot) = set
-            .iter_mut()
-            .find(|s| s.line.as_ref().is_some_and(|l| l.addr == line.addr))
+        let set = &mut self.lines[range];
+        // Overwrite an existing copy of the same address, else fill an
+        // empty way.
+        if let Some(way) = set
+            .iter()
+            .position(|l| l.addr == line.addr)
+            .or_else(|| set.iter().position(|l| l.addr == EMPTY))
         {
-            slot.line = Some(line);
-            slot.lru = stamp;
-            return None;
-        }
-        // Fill an empty way.
-        if let Some(slot) = set.iter_mut().find(|s| s.line.is_none()) {
-            slot.line = Some(line);
-            slot.lru = stamp;
+            set[way] = line;
             return None;
         }
         // Evict LRU.
-        let victim_slot = set
+        let victim = set
             .iter_mut()
-            .min_by_key(|s| s.lru)
+            .min_by_key(|l| l.lru)
             .expect("nonzero associativity");
-        let victim = victim_slot.line.replace(line);
-        victim_slot.lru = stamp;
-        victim
+        Some(std::mem::replace(victim, line))
     }
 
     /// Removes `addr` if present, returning the line.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let range = self.set_range(addr);
-        self.sets[range]
+        self.lines[range]
             .iter_mut()
-            .find(|s| s.line.as_ref().is_some_and(|l| l.addr == addr))
-            .and_then(|s| s.line.take())
+            .find(|l| l.addr == addr)
+            .map(|l| std::mem::replace(l, EMPTY_WAY))
     }
 
     /// Iterates over all resident lines.
     pub fn iter_lines(&self) -> impl Iterator<Item = &CacheLine> {
-        self.sets.iter().filter_map(|s| s.line.as_ref())
+        self.lines.iter().filter(|l| l.addr != EMPTY)
     }
 
     /// Removes every line matching `pred`, returning the removed lines.
@@ -214,12 +289,9 @@ impl SetAssocCache {
         mut pred: impl FnMut(&CacheLine) -> bool,
         out: &mut Vec<CacheLine>,
     ) {
-        for slot in &mut self.sets {
-            if let Some(line) = slot.line {
-                if pred(&line) {
-                    out.push(line);
-                    slot.line = None;
-                }
+        for way in &mut self.lines {
+            if way.addr != EMPTY && pred(way) {
+                out.push(std::mem::replace(way, EMPTY_WAY));
             }
         }
     }
@@ -229,12 +301,10 @@ impl SetAssocCache {
     /// line contents).
     pub fn discard_matching(&mut self, mut pred: impl FnMut(&CacheLine) -> bool) -> usize {
         let mut removed = 0;
-        for slot in &mut self.sets {
-            if let Some(line) = slot.line.as_ref() {
-                if pred(line) {
-                    removed += 1;
-                    slot.line = None;
-                }
+        for way in &mut self.lines {
+            if way.addr != EMPTY && pred(way) {
+                removed += 1;
+                *way = EMPTY_WAY;
             }
         }
         removed
@@ -242,16 +312,17 @@ impl SetAssocCache {
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|s| s.line.is_some()).count()
+        self.iter_lines().count()
     }
 
     /// Empties the cache completely.
     pub fn clear(&mut self) {
-        for slot in &mut self.sets {
-            slot.line = None;
-        }
+        self.lines.fill(EMPTY_WAY);
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -264,12 +335,12 @@ mod tests {
     }
 
     fn line(addr: u64) -> CacheLine {
-        CacheLine {
-            addr: LineAddr(addr),
-            state: Mosi::Shared,
-            version: 0,
-            coherent: true,
-        }
+        CacheLine::new(LineAddr(addr), Mosi::Shared, 0, true)
+    }
+
+    #[test]
+    fn a_way_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<CacheLine>(), 24);
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl MemorySystem {
         let n = cfg.cores as usize;
         Self {
             cfg: cfg.clone(),
-            // The L3 array (4 MB by default) is allocated first: a
+            // The L3 array (3 MiB by default) is allocated first: a
             // process that builds machine after machine (a campaign
             // worker, the benchmark) then puts each new L3 back into
             // the heap hole the previous one left, before smaller
@@ -351,12 +351,7 @@ impl MemorySystem {
         } else {
             self.stats.dram_reads += 1;
             let done = self.dram.read(line, now);
-            let fill = CacheLine {
-                addr: line,
-                state: Mosi::Shared,
-                version: current,
-                coherent,
-            };
+            let fill = CacheLine::new(line, Mosi::Shared, current, coherent);
             if coherent {
                 self.dir.add_sharer(line, core);
             } else {
@@ -373,16 +368,12 @@ impl MemorySystem {
         if source == Source::L3 && coherent {
             // Exclusive L3: the line moves into the requester's L2.
             let l3line = self.l3.invalidate(line).expect("peeked above");
-            let fill = CacheLine {
-                addr: line,
-                state: if l3line.state.is_dirty() {
-                    Mosi::Modified
-                } else {
-                    Mosi::Shared
-                },
-                version: current,
-                coherent: true,
+            let state = if l3line.state.is_dirty() {
+                Mosi::Modified
+            } else {
+                Mosi::Shared
             };
+            let fill = CacheLine::new(line, state, current, true);
             if fill.state.is_dirty() {
                 self.dir.set_owner(line, core);
             } else {
@@ -393,12 +384,7 @@ impl MemorySystem {
             // C2C fill, or any incoherent fill: requester gets a copy;
             // for incoherent fills nothing global changes (the L3 keeps
             // its line, the owner keeps its state).
-            let fill = CacheLine {
-                addr: line,
-                state: Mosi::Shared,
-                version: current,
-                coherent,
-            };
+            let fill = CacheLine::new(line, Mosi::Shared, current, coherent);
             if coherent {
                 self.dir.add_sharer(line, core);
             } else {
@@ -511,15 +497,7 @@ impl MemorySystem {
 
         self.dir.clear_owner(line);
         self.dir.set_owner(line, core);
-        self.install_l2(
-            core,
-            CacheLine {
-                addr: line,
-                state: Mosi::Modified,
-                version: current,
-                coherent: true,
-            },
-        );
+        self.install_l2(core, CacheLine::new(line, Mosi::Modified, current, true));
         Access {
             complete_at,
             version: current,
@@ -626,15 +604,7 @@ impl MemorySystem {
         };
         self.stats.incoherent_fills += 1;
         self.stats.l2_misses += 1;
-        self.install_l2(
-            core,
-            CacheLine {
-                addr: line,
-                state: Mosi::Shared,
-                version: current,
-                coherent: false,
-            },
-        );
+        self.install_l2(core, CacheLine::new(line, Mosi::Shared, current, false));
         Access {
             complete_at,
             version: current,
@@ -706,8 +676,22 @@ impl MemorySystem {
     /// single-cycle flash clear of the per-line coherent/valid bits —
     /// used when a core is (re-)coupled as a mute after an idle gap,
     /// so weeks-stale data does not trigger a recovery storm.
+    ///
+    /// A core whose `maybe_incoherent` flag is clear holds no
+    /// incoherent line, so it returns 0 without walking its caches:
+    /// a machine's first Enter-DMR, and every later one on a mute that
+    /// was flushed since, costs no sweep.
     pub fn flash_invalidate_incoherent(&mut self, core: CoreId) -> usize {
         let idx = core.index();
+        if !self.maybe_incoherent[idx] {
+            debug_assert!(
+                [&self.l1i[idx], &self.l1d[idx], &self.l2[idx]]
+                    .iter()
+                    .all(|c| c.iter_lines().all(|l| l.coherent)),
+                "core {idx} holds incoherent lines but its maybe_incoherent flag is clear"
+            );
+            return 0;
+        }
         self.maybe_incoherent[idx] = false;
         self.l2[idx].discard_matching(|l| !l.coherent)
             + self.l1d[idx].discard_matching(|l| !l.coherent)
@@ -1171,6 +1155,66 @@ mod tests {
         let before = mc.stats().bank_queue_cycles;
         mc.load(C2, LineAddr(0x10_001), true, 0);
         assert_eq!(mc.stats().bank_queue_cycles, before);
+    }
+
+    /// Incoherent lines in a core's L1-I, L1-D and L2: what a full
+    /// flash-invalidate sweep removes.
+    fn incoherent_lines(m: &MemorySystem, core: CoreId) -> usize {
+        let i = core.index();
+        [&m.l1i[i], &m.l1d[i], &m.l2[i]]
+            .iter()
+            .map(|c| c.iter_lines().filter(|l| !l.coherent).count())
+            .sum()
+    }
+
+    #[test]
+    fn flash_invalidate_of_a_clean_core_returns_zero() {
+        let mut m = sys();
+        assert_eq!(m.flash_invalidate_incoherent(C1), 0);
+        m.load(C1, L, true, 0);
+        m.ifetch(C1, LineAddr(0x5000), true, 10);
+        assert!(!m.maybe_incoherent[C1.index()]);
+        assert_eq!(m.flash_invalidate_incoherent(C1), 0);
+        assert!(m.peek_l2(C1, L).is_some(), "coherent lines stay");
+    }
+
+    /// A clear flag means no sweep: a line planted behind the flag's
+    /// back survives the call in release builds, and debug builds
+    /// catch the broken invariant instead.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "maybe_incoherent flag is clear")
+    )]
+    fn flash_invalidate_skips_the_sweep_while_the_flag_is_clear() {
+        let mut m = sys();
+        m.l2[C1.index()].insert(CacheLine::new(L, Mosi::Shared, 0, false));
+        assert_eq!(m.flash_invalidate_incoherent(C1), 0);
+        assert!(m.peek_l2(C1, L).is_some(), "no sweep ran");
+    }
+
+    #[test]
+    fn flash_invalidate_after_mute_fills_counts_every_incoherent_copy() {
+        let mut m = sys();
+        for i in 0..10u64 {
+            m.load(C1, LineAddr(0x9000 + i), false, i);
+        }
+        m.ifetch(C1, LineAddr(0xB000), false, 20);
+        let t = store_token(VcpuId(1), L, 1);
+        m.store_commit(C1, L, t, false, 30);
+        m.load(C1, LineAddr(0xC000), true, 40);
+        let expected = incoherent_lines(&m, C1);
+        // Ten loaded lines in L2 and L1-D, the stored line in L2 only
+        // (no write-allocate), and two code lines (demand plus
+        // next-line prefetch) in L2 and L1-I.
+        assert_eq!(expected, 25);
+        assert_eq!(m.flash_invalidate_incoherent(C1), expected);
+        assert_eq!(incoherent_lines(&m, C1), 0);
+        assert!(
+            m.peek_l2(C1, LineAddr(0xC000)).is_some(),
+            "coherent lines stay"
+        );
+        assert_eq!(m.flash_invalidate_incoherent(C1), 0);
     }
 
     #[test]
