@@ -24,8 +24,8 @@ use std::path::Path;
 
 use mmm_core::{RunResult, System, Workload};
 use mmm_trace::{
-    chrome_trace_full, chrome_trace_with_counters, Forensics, Json, ProfileReport, Sampler, Tracer,
-    FORENSICS_WINDOW,
+    chrome_trace_full, chrome_trace_with_counters, Forensics, Json, Observers, ProfileReport,
+    Sampler, Tracer, FORENSICS_WINDOW,
 };
 use mmm_types::SystemConfig;
 
@@ -70,28 +70,35 @@ pub fn traced_run(
     if let Some(rate) = fault_rate {
         sys.enable_fault_injection(rate, seed ^ 0xF417);
     }
-    sys.attach_tracer(Tracer::ring(TRACE_RING));
-    sys.attach_sampler(Sampler::every(SAMPLE_INTERVAL));
     // Under `MMM_FORENSICS=1`, the traced run also records fault
     // lifecycles and appends one async Perfetto span per fault
     // (injection → verdict, colored by outcome) to the trace. The
     // spans are strictly appended after the base events, so the
     // forensics-off document is a byte-identical prefix.
-    if mmm_core::experiment::env_flag("MMM_FORENSICS") {
-        sys.attach_forensics(Forensics::enabled(cfg.cores as usize, FORENSICS_WINDOW));
-    }
+    let forensics = if mmm_core::experiment::env_flag("MMM_FORENSICS") {
+        Forensics::enabled(cfg.cores as usize, FORENSICS_WINDOW)
+    } else {
+        Forensics::off()
+    };
+    sys.attach(Observers {
+        tracer: Tracer::ring(TRACE_RING),
+        sampler: Sampler::every(SAMPLE_INTERVAL),
+        forensics,
+        ..Observers::default()
+    });
     sys.run(TRACE_CYCLES);
-    let series = sys.sampler().series().expect("sampler attached");
-    let trace_json = match sys.forensics().take_report() {
+    let obs = sys.observers();
+    let series = obs.sampler.series().expect("sampler attached");
+    let trace_json = match obs.forensics.take_report() {
         Some(faults) => chrome_trace_full(
-            &sys.tracer().snapshot(),
+            &obs.tracer.snapshot(),
             cfg.cores as usize,
             sys.now(),
             &series,
             &faults.records,
         ),
         None => chrome_trace_with_counters(
-            &sys.tracer().snapshot(),
+            &obs.tracer.snapshot(),
             cfg.cores as usize,
             sys.now(),
             &series,

@@ -31,11 +31,12 @@
 //! switches `0` or `1` (empty counts as unset, which is off): a
 //! malformed value such as `MMM_MEASURE=2e6` or `MMM_PROFILE=off` stops
 //! the process with an error naming the variable, instead of silently
-//! running something else.
+//! running something else. So does any other `MMM_`-prefixed name (see
+//! [`ENV_NAMES`]), such as the typo `MMM_MESURE`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mmm_trace::{Forensics, Profiler, Sampler, FORENSICS_WINDOW};
+use mmm_trace::{Forensics, Observers, Profiler, Sampler, FORENSICS_WINDOW};
 use mmm_types::stats::mean_ci95;
 use mmm_types::{Result, SystemConfig};
 
@@ -104,6 +105,35 @@ impl Default for Experiment {
     }
 }
 
+/// Every `MMM_*` variable the project reads: the seven settings in the
+/// module docs, plus `MMM_BLESS`, which re-blesses the golden files in
+/// the test suite.
+pub const ENV_NAMES: [&str; 8] = [
+    "MMM_WARMUP",
+    "MMM_MEASURE",
+    "MMM_SEEDS",
+    "MMM_THREADS",
+    "MMM_SAMPLE_INTERVAL",
+    "MMM_PROFILE",
+    "MMM_FORENSICS",
+    "MMM_BLESS",
+];
+
+/// Checks variable names for an unknown `MMM_`-prefixed one: an error
+/// naming the first such name, `Ok` when every `MMM_` name is in
+/// [`ENV_NAMES`]. Names without the prefix are not ours and pass.
+pub fn check_env_names<'a>(
+    names: impl IntoIterator<Item = &'a str>,
+) -> std::result::Result<(), String> {
+    match names
+        .into_iter()
+        .find(|n| n.starts_with("MMM_") && !ENV_NAMES.contains(n))
+    {
+        Some(unknown) => Err(format!("unknown variable {unknown}")),
+        None => Ok(()),
+    }
+}
+
 /// Parses the value of the numeric override `name`: `None` when unset
 /// or empty, the number when it is a base-10 `u64`, and an error
 /// naming the variable and its value otherwise.
@@ -159,8 +189,16 @@ impl Experiment {
     }
 
     /// Applies the `MMM_*` environment overrides on top of this
-    /// experiment's settings.
+    /// experiment's settings. An unknown `MMM_*` name (see
+    /// [`check_env_names`]) or a malformed value exits with status 2.
     pub fn with_env(mut self) -> Self {
+        let names: Vec<String> = std::env::vars_os()
+            .map(|(k, _)| k.to_string_lossy().into_owned())
+            .collect();
+        if let Err(msg) = check_env_names(names.iter().map(String::as_str)) {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        }
         let e = &mut self;
         e.warmup = env_u64("MMM_WARMUP").unwrap_or(e.warmup);
         e.measure = env_u64("MMM_MEASURE").unwrap_or(e.measure);
@@ -179,18 +217,20 @@ impl Experiment {
         if let Some(rate) = self.fault_rate {
             sys.enable_fault_injection(rate, seed ^ 0xF417);
         }
-        if let Some(interval) = self.sample_interval {
-            sys.attach_sampler(Sampler::every(interval));
-        }
-        if self.profile {
-            sys.attach_profiler(Profiler::enabled());
-        }
-        if self.forensics {
-            sys.attach_forensics(Forensics::enabled(
-                self.cfg.cores as usize,
-                FORENSICS_WINDOW,
-            ));
-        }
+        sys.attach(Observers {
+            sampler: self.sample_interval.map(Sampler::every).unwrap_or_default(),
+            profiler: if self.profile {
+                Profiler::enabled()
+            } else {
+                Profiler::off()
+            },
+            forensics: if self.forensics {
+                Forensics::enabled(self.cfg.cores as usize, FORENSICS_WINDOW)
+            } else {
+                Forensics::off()
+            },
+            ..Observers::default()
+        });
         sys.set_cycle_skipping(self.cycle_skipping);
         Ok(sys.run_measured(self.warmup, self.measure))
     }
@@ -540,6 +580,28 @@ mod tests {
                 err.contains("MMM_FORENSICS") && err.contains(bad),
                 "error must name the variable and the value: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn unknown_variable_names_are_rejected() {
+        assert_eq!(check_env_names(ENV_NAMES), Ok(()));
+        assert_eq!(
+            check_env_names(["PATH", "HOME", "MMM", "XMMM_MESURE"]),
+            Ok(())
+        );
+        assert_eq!(
+            check_env_names(["PATH", "MMM_MEASURE", "MMM_MESURE", "MMM_X"]),
+            Err("unknown variable MMM_MESURE".to_string())
+        );
+        for unknown in [
+            "MMM_",
+            "MMM_measure",
+            "MMM_TABLE_SAMPLER",
+            "MMM_EVENT_WHEEL",
+        ] {
+            let err = check_env_names([unknown]).unwrap_err();
+            assert_eq!(err, format!("unknown variable {unknown}"));
         }
     }
 

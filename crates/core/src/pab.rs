@@ -3,10 +3,9 @@
 //! The PAB array and its timing model live in `mmm-cpu` (see
 //! [`mmm_cpu::pab`]): it is per-core hardware, addressed by PAT
 //! backing lines, and is wired into the store write-through path as
-//! the concrete [`mmm_cpu::Filter::Pab`] variant. What remains here is
-//! everything that needs the [`Pat`]: translating a stored-to page to
-//! its backing line and reading the permission bit — i.e. the actual
-//! verdict. The in-pipeline filter path never needs the verdict
+//! a [`mmm_cpu::PabPort`]. What remains here is everything that needs
+//! the [`Pat`]: translating a stored-to page to its backing line and
+//! reading the permission bit — i.e. the actual verdict. The in-pipeline filter path never needs the verdict
 //! (fault-free software only stores to pages it owns); only the fault
 //! injector, which models wild stores, checks permissions via
 //! [`check_store`].

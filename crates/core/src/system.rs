@@ -11,13 +11,13 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use mmm_cpu::{Boundary, Core, CoreStats, ExecContext, Filter, OpFeeder, PabPort, PhaseTracker};
+use mmm_cpu::{Boundary, Core, CoreStats, ExecContext, OpFeeder, PabPort, PhaseTracker};
 use mmm_mem::request::store_token;
 use mmm_mem::{MemStats, MemorySystem};
 use mmm_reunion::{DmrPair, PairStats};
 use mmm_trace::{
-    Event, Forensics, ForensicsReport, Json, MetricsRegistry, MetricsSeries, ProfPhase,
-    ProfileReport, Profiler, Sampler, SchedAction, Tracer, TransitionKind,
+    Event, ForensicsReport, Json, MetricsRegistry, MetricsSeries, Observers, ProfPhase,
+    ProfileReport, SchedAction, TransitionKind,
 };
 use mmm_types::ids::{PAGE_BYTES, PAGE_SHIFT};
 use mmm_types::{CoreId, Cycle, PageAddr, Result, SystemConfig, VcpuId, VmId};
@@ -408,19 +408,9 @@ pub struct System {
     retired_pair_stats: PairStats,
     /// Phase trackers harvested from cores at reset/report.
     fault_token_seq: u64,
-    /// Event tracer handle (off by default; clones are distributed to
-    /// cores and live pairs by [`System::attach_tracer`]).
-    tracer: Tracer,
-    /// Flight-recorder sampler (off by default; see
-    /// [`System::attach_sampler`]).
-    sampler: Sampler,
-    /// Self-profiler (off by default; see [`System::attach_profiler`]).
-    /// Clones are distributed to every component that hosts a probe.
-    profiler: Profiler,
-    /// Fault forensics recorder (off by default; see
-    /// [`System::attach_forensics`]). Clones are distributed to cores
-    /// and live pairs for black-box context recording.
-    forensics: Forensics,
+    /// Observability handles (all off by default; see
+    /// [`System::attach`]).
+    obs: Observers,
     /// The registry of future system-level wake sources: the timeslice
     /// boundary, the sampler boundary, the next fault arrival, and the
     /// single-OS trap poll. Sources that cannot act stay parked at
@@ -518,10 +508,7 @@ impl System {
             overcommit_order: Vec::new(),
             retired_pair_stats: PairStats::default(),
             fault_token_seq: 1 << 61,
-            tracer: Tracer::off(),
-            sampler: Sampler::off(),
-            profiler: Profiler::off(),
-            forensics: Forensics::off(),
+            obs: Observers::default(),
             wheel,
             measure_start: 0,
             skip_enabled: true,
@@ -568,25 +555,59 @@ impl System {
         self.injector = Some(inj);
     }
 
-    /// Attaches an event tracer: clones of the handle are distributed
-    /// to every core and every live DMR pair, and the current VCPU
-    /// placement is re-emitted as install decisions so per-core
-    /// timelines open correctly mid-run. Tracing is purely
-    /// observational — it never changes simulated timing.
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Attaches an observability bundle, replacing the previous one
+    /// (the default is all off). Clones of its handles are handed to
+    /// every core, every parked and installed context, every live DMR
+    /// pair and the memory system; pairs coupled later get them too.
+    /// Each component keeps only the handles it probes.
+    ///
+    /// * With the tracer on, the current VCPU placement is re-emitted
+    ///   as install decisions so per-core timelines open correctly
+    ///   mid-run.
+    /// * With the sampler on, it is rebased to the current counters,
+    ///   so its first sample covers only post-attach activity, and
+    ///   every sampling interval the machine settles its cores and
+    ///   snapshots the full metrics registry (counter deltas, gauge
+    ///   last-values, histogram interval deltas).
+    /// * The profiler attributes host wall-time to hot-loop phases,
+    ///   exclusively.
+    /// * Forensics gives every injected fault a causal lifecycle
+    ///   record, with per-core black-box rings for escape dumps.
+    ///
+    /// Every observer is purely observational: reports and sampled
+    /// series are bit-identical with any of them on or off.
+    pub fn attach(&mut self, obs: Observers) {
+        self.obs = obs;
         for c in &mut self.cores {
-            c.set_tracer(self.tracer.clone());
+            c.observe(&self.obs);
+        }
+        for v in &mut self.vcpus {
+            if let Some(ctx) = v.parked_ctx.as_mut() {
+                ctx.observe(&self.obs);
+            }
         }
         for pair in self.pairs.iter_mut().flatten() {
-            pair.set_tracer(self.tracer.clone());
+            pair.observe(&self.obs);
         }
+        self.mem.observe(&self.obs);
+        if self.obs.sampler.is_on() {
+            let snapshot = self
+                .report(self.cycle.saturating_sub(self.measure_start))
+                .metrics();
+            self.obs.sampler.rebase(&snapshot);
+        }
+        // `next_boundary` parks the slot at `Cycle::MAX` when sampling
+        // is off.
+        self.wheel.schedule(
+            WakeSource::Sample,
+            self.obs.sampler.next_boundary(self.cycle),
+        );
         let now = self.cycle;
         for v in &self.vcpus {
             match v.assignment {
                 Assignment::Parked => {}
                 Assignment::Solo(core) => {
-                    self.tracer.emit(now, || Event::SchedDecision {
+                    self.obs.tracer.emit(now, || Event::SchedDecision {
                         action: SchedAction::InstallSolo,
                         core,
                         partner: None,
@@ -594,7 +615,7 @@ impl System {
                     });
                 }
                 Assignment::Dmr { vocal, mute } => {
-                    self.tracer.emit(now, || Event::SchedDecision {
+                    self.obs.tracer.emit(now, || Event::SchedDecision {
                         action: SchedAction::InstallDmr,
                         core: vocal,
                         partner: Some(mute),
@@ -605,89 +626,10 @@ impl System {
         }
     }
 
-    /// The attached tracer (off unless [`System::attach_tracer`] was
-    /// called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Attaches a flight-recorder sampler: every `interval` simulated
-    /// cycles the machine settles its cores and snapshots the full
-    /// metrics registry into a time-series (counter deltas, gauge
-    /// last-values, histogram interval deltas). The sampler is rebased
-    /// to the current counters so the first sample covers only
-    /// post-attach activity. Sampling is purely observational — it
-    /// never changes simulated timing — and with the sampler off the
-    /// hot path pays a single always-false comparison.
-    pub fn attach_sampler(&mut self, sampler: Sampler) {
-        self.sampler = sampler;
-        if self.sampler.interval().is_some() {
-            let snapshot = self
-                .report(self.cycle.saturating_sub(self.measure_start))
-                .metrics();
-            self.sampler.rebase(&snapshot);
-        }
-        // `next_boundary` parks the slot at `Cycle::MAX` when sampling
-        // is off.
-        self.wheel
-            .schedule(WakeSource::Sample, self.sampler.next_boundary(self.cycle));
-    }
-
-    /// The attached sampler (off unless [`System::attach_sampler`]
-    /// was called).
-    pub fn sampler(&self) -> &Sampler {
-        &self.sampler
-    }
-
-    /// Attaches a self-profiler: clones of the handle are distributed
-    /// to every core, every parked and installed context's op source,
-    /// every live DMR pair, and the memory system, so host wall-time
-    /// spent in each hot-loop phase is attributed exclusively.
-    /// Profiling is purely observational — it reads only the host
-    /// clock and never touches simulated state, so reports and
-    /// sampled series are bit-identical with it on or off.
-    pub fn attach_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
-        for c in &mut self.cores {
-            c.set_profiler(self.profiler.clone());
-        }
-        for v in &mut self.vcpus {
-            if let Some(ctx) = v.parked_ctx.as_mut() {
-                ctx.set_profiler(self.profiler.clone());
-            }
-        }
-        for pair in self.pairs.iter_mut().flatten() {
-            pair.set_profiler(self.profiler.clone());
-        }
-        self.mem.set_profiler(self.profiler.clone());
-    }
-
-    /// The attached profiler (off unless [`System::attach_profiler`]
-    /// was called).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Attaches a fault-forensics recorder: every injected fault gets
-    /// a causal lifecycle record, and clones of the handle are
-    /// distributed to every core and every live DMR pair so per-core
-    /// black-box rings capture context for escape dumps. Forensics is
-    /// purely observational — it never changes simulated timing,
-    /// counters, or reports.
-    pub fn attach_forensics(&mut self, forensics: Forensics) {
-        self.forensics = forensics;
-        for c in &mut self.cores {
-            c.set_forensics(self.forensics.clone());
-        }
-        for pair in self.pairs.iter_mut().flatten() {
-            pair.set_forensics(self.forensics.clone());
-        }
-    }
-
-    /// The attached forensics recorder (off unless
-    /// [`System::attach_forensics`] was called).
-    pub fn forensics(&self) -> &Forensics {
-        &self.forensics
+    /// The attached observability bundle (all off unless
+    /// [`System::attach`] was called).
+    pub fn observers(&self) -> &Observers {
+        &self.obs
     }
 
     /// Enables or disables cycle fast-forwarding (on by default).
@@ -704,15 +646,15 @@ impl System {
     /// records the registry delta at a timestamp relative to the
     /// start of the measured period.
     fn take_sample(&mut self, now: Cycle) {
-        let _prof = self.profiler.enter(ProfPhase::Sampler);
+        let _prof = self.obs.profiler.enter(ProfPhase::Sampler);
         for c in &mut self.cores {
             c.settle_to(now);
         }
         let rel = now.saturating_sub(self.measure_start);
         let snapshot = self.report(rel).metrics();
-        self.sampler.record(rel, &snapshot);
+        self.obs.sampler.record(rel, &snapshot);
         self.wheel
-            .schedule(WakeSource::Sample, self.sampler.next_boundary(now));
+            .schedule(WakeSource::Sample, self.obs.sampler.next_boundary(now));
     }
 
     /// Current cycle.
@@ -757,18 +699,13 @@ impl System {
         c.set_context(ctx);
         c.set_coherent(true);
         c.set_gate(None);
-        c.set_store_filter(if with_pab {
-            Filter::Pab(PabPort::new(
-                Rc::clone(&self.pabs[core.index()]),
-                self.layout,
-            ))
-        } else {
-            Filter::None
-        });
+        c.set_store_filter(
+            with_pab.then(|| PabPort::new(Rc::clone(&self.pabs[core.index()]), self.layout)),
+        );
         c.stall_until(ready_at);
         let i = self.vcpu_index(vcpu);
         self.vcpus[i].assignment = Assignment::Solo(core);
-        self.tracer.emit(ready_at, || Event::SchedDecision {
+        self.obs.tracer.emit(ready_at, || Event::SchedDecision {
             action: SchedAction::InstallSolo,
             core,
             partner: None,
@@ -786,12 +723,10 @@ impl System {
         let (left, right) = self.cores.split_at_mut(mc);
         let vocal = &mut left[vc];
         let mute = &mut right[0];
-        vocal.set_store_filter(Filter::None);
-        mute.set_store_filter(Filter::None);
+        vocal.set_store_filter(None);
+        mute.set_store_filter(None);
         let mut pair = DmrPair::couple(vocal, mute, ctx, &self.cfg.reunion);
-        pair.set_tracer(self.tracer.clone());
-        pair.set_profiler(self.profiler.clone());
-        pair.set_forensics(self.forensics.clone());
+        pair.observe(&self.obs);
         vocal.stall_until(ready_at);
         mute.stall_until(ready_at);
         self.pairs[slot] = Some(pair);
@@ -800,7 +735,7 @@ impl System {
             vocal: CoreId(vc as u16),
             mute: CoreId(mc as u16),
         };
-        self.tracer.emit(ready_at, || Event::SchedDecision {
+        self.obs.tracer.emit(ready_at, || Event::SchedDecision {
             action: SchedAction::InstallDmr,
             core: CoreId(vc as u16),
             partner: Some(CoreId(mc as u16)),
@@ -832,7 +767,7 @@ impl System {
             .map(|v| v.id)
             .expect("pair slot maps to a vcpu");
         self.park_context(vcpu, ctx);
-        self.tracer.emit(now, || Event::SchedDecision {
+        self.obs.tracer.emit(now, || Event::SchedDecision {
             action: SchedAction::EvictDmr,
             core: CoreId(vc as u16),
             partner: Some(CoreId(mc as u16)),
@@ -846,7 +781,7 @@ impl System {
         let ctx = self.cores[core.index()]
             .take_context(now)
             .expect("core is busy");
-        self.cores[core.index()].set_store_filter(Filter::None);
+        self.cores[core.index()].set_store_filter(None);
         let vcpu = self
             .vcpus
             .iter()
@@ -854,7 +789,7 @@ impl System {
             .map(|v| v.id)
             .expect("solo core maps to a vcpu");
         self.park_context(vcpu, ctx);
-        self.tracer.emit(now, || Event::SchedDecision {
+        self.obs.tracer.emit(now, || Event::SchedDecision {
             action: SchedAction::EvictSolo,
             core,
             partner: None,
@@ -912,7 +847,7 @@ impl System {
     fn overcommit_switch(&mut self, now: Cycle) {
         let n_cores = self.cfg.cores as usize;
         let pairs = self.cfg.pairs() as usize;
-        self.tracer.emit(now, || Event::SchedDecision {
+        self.obs.tracer.emit(now, || Event::SchedDecision {
             action: SchedAction::OvercommitSwitch,
             core: CoreId(0),
             partner: None,
@@ -1044,7 +979,7 @@ impl System {
                     let ready = self
                         .engine
                         .restore_solo(&mut self.mem, c, v, busy[c.index()]);
-                    self.tracer.emit(now, || Event::ModeTransition {
+                    self.obs.tracer.emit(now, || Event::ModeTransition {
                         core: c,
                         kind: TransitionKind::PerfSwitch,
                         done: ready,
@@ -1056,7 +991,7 @@ impl System {
                     let ready = self
                         .engine
                         .restore_dmr(&mut self.mem, vocal, mute, v, start);
-                    self.tracer.emit(now, || Event::ModeTransition {
+                    self.obs.tracer.emit(now, || Event::ModeTransition {
                         core: vocal,
                         kind: TransitionKind::DmrSwitch,
                         done: ready,
@@ -1073,7 +1008,7 @@ impl System {
     fn gang_switch(&mut self, policy: MixedPolicy, now: Cycle) {
         let pairs = self.cfg.pairs() as usize;
         let incoming_parity = 1 - self.slice_parity;
-        self.tracer.emit(now, || Event::SchedDecision {
+        self.obs.tracer.emit(now, || Event::SchedDecision {
             action: SchedAction::GangSwitch,
             core: CoreId(0),
             partner: None,
@@ -1099,7 +1034,7 @@ impl System {
                             perf_vcpu,
                             now,
                         );
-                        self.tracer.emit(now, || Event::ModeTransition {
+                        self.obs.tracer.emit(now, || Event::ModeTransition {
                             core: vocal,
                             kind: TransitionKind::DmrSwitch,
                             done: t,
@@ -1118,7 +1053,7 @@ impl System {
                             false,
                             now,
                         );
-                        self.tracer.emit(now, || Event::ModeTransition {
+                        self.obs.tracer.emit(now, || Event::ModeTransition {
                             core: vocal,
                             kind: TransitionKind::LeaveDmr,
                             done: t,
@@ -1136,7 +1071,7 @@ impl System {
                             true,
                             now,
                         );
-                        self.tracer.emit(now, || Event::ModeTransition {
+                        self.obs.tracer.emit(now, || Event::ModeTransition {
                             core: vocal,
                             kind: TransitionKind::LeaveDmr,
                             done: t,
@@ -1161,7 +1096,7 @@ impl System {
                             rel_vcpu,
                             now,
                         );
-                        self.tracer.emit(now, || Event::ModeTransition {
+                        self.obs.tracer.emit(now, || Event::ModeTransition {
                             core: vocal,
                             kind: TransitionKind::DmrSwitch,
                             done: t,
@@ -1179,7 +1114,7 @@ impl System {
                             rel_vcpu,
                             now,
                         );
-                        self.tracer.emit(now, || Event::ModeTransition {
+                        self.obs.tracer.emit(now, || Event::ModeTransition {
                             core: vocal,
                             kind: TransitionKind::EnterDmr,
                             done: t,
@@ -1198,7 +1133,7 @@ impl System {
                             rel_vcpu,
                             now,
                         );
-                        self.tracer.emit(now, || Event::ModeTransition {
+                        self.obs.tracer.emit(now, || Event::ModeTransition {
                             core: vocal,
                             kind: TransitionKind::EnterDmr,
                             done: t,
@@ -1226,11 +1161,11 @@ impl System {
                 tel.detected += 1;
                 tel.detection_latency.record(latency);
             }
-            self.forensics.link(rec, self.cycle, || {
+            self.obs.forensics.link(rec, self.cycle, || {
                 format!("enter_dmr_verification vcpu={} latency={latency}", vcpu.0)
             });
-            self.forensics.detected(rec, "enter_dmr", Some(latency));
-            self.tracer.emit(self.cycle, || Event::FaultMasked {
+            self.obs.forensics.detected(rec, "enter_dmr", Some(latency));
+            self.obs.tracer.emit(self.cycle, || Event::FaultMasked {
                 core: vocal,
                 site: "priv_reg",
                 reason: "enter_dmr_verification",
@@ -1263,13 +1198,13 @@ impl System {
                         vcpu,
                         now,
                     );
-                    self.tracer.emit(now, || Event::SchedDecision {
+                    self.obs.tracer.emit(now, || Event::SchedDecision {
                         action: SchedAction::SingleOsPoll,
                         core: vocal,
                         partner: Some(mute),
                         vcpu: Some(vcpu),
                     });
-                    self.tracer.emit(now, || Event::ModeTransition {
+                    self.obs.tracer.emit(now, || Event::ModeTransition {
                         core: vocal,
                         kind: TransitionKind::EnterDmr,
                         done: t,
@@ -1303,13 +1238,13 @@ impl System {
                         false,
                         now,
                     );
-                    self.tracer.emit(now, || Event::SchedDecision {
+                    self.obs.tracer.emit(now, || Event::SchedDecision {
                         action: SchedAction::SingleOsPoll,
                         core: vocal,
                         partner: Some(mute),
                         vcpu: Some(vcpu),
                     });
-                    self.tracer.emit(now, || Event::ModeTransition {
+                    self.obs.tracer.emit(now, || Event::ModeTransition {
                         core: vocal,
                         kind: TransitionKind::LeaveDmr,
                         done: t,
@@ -1326,7 +1261,8 @@ impl System {
 
     pub(crate) fn apply_fault(&mut self, core: CoreId, site: FaultSite, now: Cycle) {
         let label = site.label();
-        self.tracer
+        self.obs
+            .tracer
             .emit(now, || Event::FaultInjected { core, site: label });
         if let Some(inj) = self.injector.as_mut() {
             inj.telemetry.site_mut(site).injected += 1;
@@ -1351,8 +1287,9 @@ impl System {
             None if !self.cores[core.index()].is_busy() => "idle",
             None => "perf",
         };
-        let rec = self.forensics.open(now, core, label, mode);
-        self.forensics
+        let rec = self.obs.forensics.open(now, core, label, mode);
+        self.obs
+            .forensics
             .note(now, || Event::FaultInjected { core, site: label });
         if let Some(slot) = in_pair {
             let pair = self.pairs[slot].as_ref().expect("slot holds a pair");
@@ -1361,10 +1298,11 @@ impl System {
             // fault gets its own latency observation.
             if pair.inject_fault() {
                 self.dmr_inject_pending[slot].push_back((now, site, rec));
-                self.forensics
+                self.obs
+                    .forensics
                     .link(rec, now, || "fingerprint_divergence_armed".to_string());
             } else {
-                self.forensics.link(rec, now, || {
+                self.obs.forensics.link(rec, now, || {
                     "merged_into_armed_divergence (no separate latency)".to_string()
                 });
             }
@@ -1375,8 +1313,8 @@ impl System {
             // Detection by the fingerprint check is certain; the exact
             // latency is attributed when the pair services the
             // mismatch (merged injections keep a `null` latency).
-            self.forensics.detected(rec, "dmr", None);
-            self.tracer.emit(now, || Event::FaultMasked {
+            self.obs.forensics.detected(rec, "dmr", None);
+            self.obs.tracer.emit(now, || Event::FaultMasked {
                 core,
                 site: label,
                 reason: "dmr_detected",
@@ -1388,8 +1326,8 @@ impl System {
                 inj.stats.on_idle_core += 1;
                 inj.telemetry.site_mut(site).masked += 1;
             }
-            self.forensics.masked(rec, "idle");
-            self.tracer.emit(now, || Event::FaultMasked {
+            self.obs.forensics.masked(rec, "idle");
+            self.obs.tracer.emit(now, || Event::FaultMasked {
                 core,
                 site: label,
                 reason: "idle",
@@ -1403,7 +1341,7 @@ impl System {
                     inj.stats.silent_perf_faults += 1;
                     inj.telemetry.site_mut(site).masked += 1;
                 }
-                self.forensics.masked(rec, "silent_perf_fault");
+                self.obs.forensics.masked(rec, "silent_perf_fault");
             }
             FaultSite::PrivReg => {
                 let i = self
@@ -1419,14 +1357,14 @@ impl System {
                     if self.privreg_armed[i].is_none() {
                         self.privreg_armed[i] = Some((now, rec));
                         let vcpu = self.vcpus[i].id;
-                        self.forensics.link(rec, now, || {
+                        self.obs.forensics.link(rec, now, || {
                             format!("privreg_armed vcpu={} awaiting enter_dmr", vcpu.0)
                         });
                     } else {
                         // The armed corruption's eventual detection
                         // belongs to the first injection; this one
                         // stays terminally unattributed.
-                        self.forensics.pending(rec, "merged_into_armed_privreg");
+                        self.obs.forensics.pending(rec, "merged_into_armed_privreg");
                     }
                 } else {
                     // A pure performance guest never re-enters DMR:
@@ -1436,7 +1374,7 @@ impl System {
                         inj.stats.silent_perf_faults += 1;
                         inj.telemetry.site_mut(site).masked += 1;
                     }
-                    self.forensics.masked(rec, "unprotected_guest");
+                    self.obs.forensics.masked(rec, "unprotected_guest");
                 }
             }
             FaultSite::TlbPermission => {
@@ -1450,12 +1388,12 @@ impl System {
                 // Forensic context reads are pure observation: the
                 // wild page's TLB residency and the PAB occupancy on
                 // the striking core.
-                if self.forensics.is_on() {
+                if self.obs.forensics.is_on() {
                     let c = &self.cores[core.index()];
                     let resident = c.tlb_resident(page);
                     let tlb_occ = c.tlb_occupancy();
                     let pab_occ = self.pabs[core.index()].borrow().occupancy();
-                    self.forensics.link(rec, now, || {
+                    self.obs.forensics.link(rec, now, || {
                         format!(
                             "wild_store page={} tlb_resident={resident} \
                              tlb_occupancy={tlb_occ} pab_occupancy={pab_occ}",
@@ -1463,7 +1401,7 @@ impl System {
                         )
                     });
                 }
-                let pab_hits_before = if self.forensics.is_on() {
+                let pab_hits_before = if self.obs.forensics.is_on() {
                     self.pabs[core.index()].borrow().stats().hits
                 } else {
                     0
@@ -1478,10 +1416,10 @@ impl System {
                     now,
                 );
                 drop(pat);
-                if self.forensics.is_on() {
+                if self.obs.forensics.is_on() {
                     let hit = self.pabs[core.index()].borrow().stats().hits > pab_hits_before;
                     let lookup = if hit { "hit" } else { "miss" };
-                    self.forensics.link(rec, ready, || {
+                    self.obs.forensics.link(rec, ready, || {
                         format!("pab_lookup={lookup} store_ready={ready}")
                     });
                 }
@@ -1492,16 +1430,19 @@ impl System {
                         let tel = inj.telemetry.site_mut(site);
                         tel.detected += 1;
                         tel.detection_latency.record(ready.saturating_sub(now));
-                        self.forensics.link(rec, ready, || {
+                        self.obs.forensics.link(rec, ready, || {
                             "pab_violation exception_before_l2".to_string()
                         });
-                        self.forensics
+                        self.obs
+                            .forensics
                             .detected(rec, "pab", Some(ready.saturating_sub(now)));
-                        self.forensics
+                        self.obs
+                            .forensics
                             .note(now, || Event::PabDeny { core, page: page.0 });
-                        self.tracer
+                        self.obs
+                            .tracer
                             .emit(now, || Event::PabDeny { core, page: page.0 });
-                        self.tracer.emit(now, || Event::FaultMasked {
+                        self.obs.tracer.emit(now, || Event::FaultMasked {
                             core,
                             site: label,
                             reason: "pab_blocked",
@@ -1513,10 +1454,10 @@ impl System {
                         self.fault_token_seq += 1;
                         let token = store_token(VcpuId(u16::MAX), line, self.fault_token_seq);
                         self.mem.store_commit(core, line, token, true, ready);
-                        self.forensics.link(rec, ready, || {
+                        self.obs.forensics.link(rec, ready, || {
                             format!("corruption_committed line={} page={}", line.0, page.0)
                         });
-                        self.forensics.escaped(rec, vec![page.0]);
+                        self.obs.forensics.escaped(rec, vec![page.0]);
                     }
                 }
             }
@@ -1538,17 +1479,17 @@ impl System {
             // Wake-slot checks and the fault-arrival poll are wheel
             // bookkeeping; the handlers they trigger carve out their
             // own nested phases.
-            let _prof = self.profiler.enter(ProfPhase::Wheel);
+            let _prof = self.obs.profiler.enter(ProfPhase::Wheel);
             if now >= self.wheel.at(WakeSource::Sample) {
-                self.profiler.wake_hit(WakeSource::Sample as usize);
+                self.obs.profiler.wake_hit(WakeSource::Sample as usize);
                 // Reschedules its own slot.
                 self.take_sample(now);
             }
             if now >= self.wheel.at(WakeSource::Slice) {
-                self.profiler.wake_hit(WakeSource::Slice as usize);
+                self.obs.profiler.wake_hit(WakeSource::Slice as usize);
                 let next = self.wheel.at(WakeSource::Slice) + self.cfg.virt.timeslice_cycles;
                 {
-                    let _prof = self.profiler.enter(ProfPhase::Sched);
+                    let _prof = self.obs.profiler.enter(ProfPhase::Sched);
                     if let Some(policy) = self.workload.gang_policy() {
                         self.gang_switch(policy, now);
                     } else {
@@ -1558,14 +1499,16 @@ impl System {
                 self.wheel.schedule(WakeSource::Slice, next);
             }
             if now >= self.wheel.at(WakeSource::SingleOsPoll) {
-                self.profiler.wake_hit(WakeSource::SingleOsPoll as usize);
-                let _prof = self.profiler.enter(ProfPhase::Sched);
+                self.obs
+                    .profiler
+                    .wake_hit(WakeSource::SingleOsPoll as usize);
+                let _prof = self.obs.profiler.enter(ProfPhase::Sched);
                 self.poll_single_os(now);
             }
             if let Some(inj) = self.injector.as_mut() {
                 if let Some((core, site)) = inj.poll(now) {
-                    self.profiler.wake_hit(WakeSource::Fault as usize);
-                    let _prof = self.profiler.enter(ProfPhase::Sched);
+                    self.obs.profiler.wake_hit(WakeSource::Fault as usize);
+                    let _prof = self.obs.profiler.enter(ProfPhase::Sched);
                     self.apply_fault(core, site, now);
                 }
             }
@@ -1577,7 +1520,7 @@ impl System {
             // checks, occupancy accounting, service-flag sweeps — to
             // the core-loop bookkeeping phase; the core/mem/op-gen and
             // pair-service probes nest inside and subtract themselves.
-            let _prof = self.profiler.enter(ProfPhase::CoreLoop);
+            let _prof = self.obs.profiler.enter(ProfPhase::CoreLoop);
             for c in &mut self.cores {
                 // Cores that proved themselves blocked (or idle) until a
                 // future cycle are skipped entirely; they settle their
@@ -1591,7 +1534,7 @@ impl System {
                 c.tick(now, &mut self.mem);
                 min_wake = min_wake.min(c.wake_hint());
             }
-            self.profiler.occupancy(awake);
+            self.obs.profiler.occupancy(awake);
             for (slot, pair) in self.pairs.iter().enumerate() {
                 let Some(pair) = pair else { continue };
                 // The dirty flag only rises during core ticks, so a clean
@@ -1612,7 +1555,7 @@ impl System {
                                 .detection_latency
                                 .record(detected_at.saturating_sub(injected_at));
                         }
-                        self.forensics.attribute_latency(rec, detected_at);
+                        self.obs.forensics.attribute_latency(rec, detected_at);
                     }
                 }
             }
@@ -1623,7 +1566,7 @@ impl System {
         // only change during core ticks, so recomputing here — after
         // the core loop — is exact).
         {
-            let _prof = self.profiler.enter(ProfPhase::Wheel);
+            let _prof = self.obs.profiler.enter(ProfPhase::Wheel);
             if let Some(inj) = &self.injector {
                 self.wheel.schedule(WakeSource::Fault, inj.next_event(now));
             }
@@ -1633,10 +1576,10 @@ impl System {
             }
         }
         let next = {
-            let _prof = self.profiler.enter(ProfPhase::FastForward);
+            let _prof = self.obs.profiler.enter(ProfPhase::FastForward);
             self.fast_forward(now, min_wake)
         };
-        self.profiler.advance(next - now);
+        self.obs.profiler.advance(next - now);
         self.cycle = next;
     }
 
@@ -1740,15 +1683,17 @@ impl System {
         // Restart the forensics recorder: only faults injected during
         // the measured window are reported (black-box rings are kept —
         // context preceding an early escape is still valuable).
-        self.forensics.reset();
+        self.obs.forensics.reset();
         // Restart the flight recorder: samples cover the measured
         // period only, with timestamps relative to its start.
         self.measure_start = self.cycle;
-        if self.sampler.interval().is_some() {
+        if self.obs.sampler.interval().is_some() {
             let snapshot = self.report(0).metrics();
-            self.sampler.rebase(&snapshot);
-            self.wheel
-                .schedule(WakeSource::Sample, self.sampler.next_boundary(self.cycle));
+            self.obs.sampler.rebase(&snapshot);
+            self.wheel.schedule(
+                WakeSource::Sample,
+                self.obs.sampler.next_boundary(self.cycle),
+            );
         }
     }
 
@@ -1759,16 +1704,16 @@ impl System {
         self.reset_measurement();
         // Open the profiler window after the warm-up reset so phase
         // shares cover exactly the measured period.
-        self.profiler.begin();
+        self.obs.profiler.begin();
         let started = std::time::Instant::now();
         self.run(measure);
         let wall = started.elapsed().as_secs_f64();
-        self.profiler.end();
+        self.obs.profiler.end();
         let mut report = self.report(measure);
         report.wall_seconds = wall;
-        report.series = self.sampler.series();
-        report.profile = self.profiler.report();
-        report.forensics = self.forensics.take_report();
+        report.series = self.obs.sampler.series();
+        report.profile = self.obs.profiler.report();
+        report.forensics = self.obs.forensics.take_report();
         report
     }
 

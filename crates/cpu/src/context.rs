@@ -45,7 +45,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mmm_trace::{ProfPhase, Profiler};
+use mmm_trace::{Observers, ProfPhase, Profiler};
 use mmm_types::{PhysAddr, VcpuId, VmId};
 use mmm_workload::{MicroOp, OpClass, OpSource, OpStream, Privilege, TraceReplay};
 
@@ -264,11 +264,11 @@ impl ExecContext {
         }
     }
 
-    /// Installs a self-profiler handle on the shared stream, so the
+    /// Installs the bundle's profiler on the shared stream, so the
     /// simulation thread's op-generation time is attributed no matter
     /// which fork side triggers it. Purely observational.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.stream.borrow_mut().profiler = profiler;
+    pub fn observe(&mut self, obs: &Observers) {
+        self.stream.borrow_mut().profiler = obs.profiler.clone();
     }
 
     /// Runs `f` on the feed behind this context's stream.

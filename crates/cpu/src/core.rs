@@ -14,7 +14,7 @@
 //!   synchronous latency answer;
 //! * instructions leave the window in order at up to `width` per
 //!   cycle, once executed *and* (under Reunion) released by the
-//!   [`CommitGate`];
+//!   [`PairGate`];
 //! * under SC a store must additionally hold exclusive ownership and
 //!   complete its L2 write-through before it can leave the window —
 //!   the pressure the paper identifies as Reunion's largest overhead
@@ -22,7 +22,7 @@
 
 use mmm_mem::request::store_token;
 use mmm_mem::{MemorySystem, Source};
-use mmm_trace::{Event, Forensics, ProfPhase, Profiler, Tracer};
+use mmm_trace::{Event, Forensics, Observers, ProfPhase, Profiler, Tracer};
 use mmm_types::config::{Consistency, SystemConfig};
 use mmm_types::fastmap::FastMap;
 use mmm_types::{CoreId, Cycle, LineAddr, PageAddr, VcpuId};
@@ -30,8 +30,8 @@ use mmm_workload::{MicroOp, OpClass, Privilege};
 use std::collections::VecDeque;
 
 use crate::context::ExecContext;
-use crate::filter::Filter;
-use crate::gate::{CommitGate, Gate};
+use crate::gate::PairGate;
+use crate::pab::PabPort;
 use crate::phase::PhaseTracker;
 use crate::stats::CoreStats;
 use crate::tlb::Tlb;
@@ -120,8 +120,8 @@ pub struct Core {
 
     // Role configuration (set by the scheduler / DMR layer).
     coherent: bool,
-    gate: Option<Gate>,
-    store_filter: Filter,
+    gate: Option<PairGate>,
+    store_filter: Option<PabPort>,
     trap_enter: bool,
     trap_exit: bool,
     phase_tracker: Option<PhaseTracker>,
@@ -181,7 +181,7 @@ impl Core {
             sb_drain_cycles: 3,
             coherent: true,
             gate: None,
-            store_filter: Filter::None,
+            store_filter: None,
             trap_enter: false,
             trap_exit: false,
             phase_tracker: None,
@@ -215,29 +215,20 @@ impl Core {
         }
     }
 
-    /// Installs a tracer handle. The default is off; an off tracer
-    /// costs one branch per emission site and never constructs events.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Installs a self-profiler handle and forwards it to the
-    /// installed context's op source, so host time inside `tick`
-    /// lands in [`ProfPhase::Core`] (with nested memory and op-gen
-    /// work subtracting automatically).
-    pub fn set_profiler(&mut self, profiler: Profiler) {
+    /// Installs the observability handles the core probes, and
+    /// forwards the bundle to the installed context. The tracer
+    /// records serialization stalls and phase boundaries; forensics
+    /// stamps the same landmarks into the core's black-box ring; the
+    /// profiler attributes host time inside `tick` to
+    /// [`ProfPhase::Core`] (nested memory and op-gen work subtract
+    /// automatically). All are off by default: one branch per site.
+    pub fn observe(&mut self, obs: &Observers) {
         if let Some(ctx) = self.context.as_mut() {
-            ctx.set_profiler(profiler.clone());
+            ctx.observe(obs);
         }
-        self.profiler = profiler;
-    }
-
-    /// Installs a fault-forensics handle. When on, the core stamps
-    /// its pipeline landmarks (serialization stalls, phase
-    /// boundaries) into a per-core black-box ring that an escaped
-    /// fault's record dumps. Off by default: one branch per site.
-    pub fn set_forensics(&mut self, forensics: Forensics) {
-        self.forensics = forensics;
+        self.tracer = obs.tracer.clone();
+        self.profiler = obs.profiler.clone();
+        self.forensics = obs.forensics.clone();
     }
 
     /// This core's identifier.
@@ -294,28 +285,16 @@ impl Core {
     }
 
     /// Installs (or removes) the Reunion commit gate.
-    pub fn set_gate(&mut self, gate: Option<Box<dyn CommitGate>>) {
-        self.gate = gate.map(Gate::Dyn);
-        self.wake_now();
-    }
-
-    /// Installs a devirtualized gate variant directly (the pair
-    /// coupling path).
-    pub fn set_gate_kind(&mut self, gate: Option<Gate>) {
+    pub fn set_gate(&mut self, gate: Option<PairGate>) {
         self.gate = gate;
         self.wake_now();
     }
 
     /// Installs (or removes) the store filter — the PAB's hook into
     /// the store write-through path (performance mode only).
-    pub fn set_store_filter(&mut self, filter: Filter) {
+    pub fn set_store_filter(&mut self, filter: Option<PabPort>) {
         self.store_filter = filter;
         self.wake_now();
-    }
-
-    /// Whether a store filter is installed.
-    pub fn has_store_filter(&self) -> bool {
-        self.store_filter.is_some()
     }
 
     /// Enables user/OS phase-duration tracking (Table 2).
@@ -612,6 +591,16 @@ impl Core {
         }
     }
 
+    /// Cycle at which a store to `line` may write the L2: `now` unless
+    /// a store filter re-validates it first.
+    #[inline]
+    fn filter_store(&mut self, line: LineAddr, now: Cycle, mem: &mut MemorySystem) -> Cycle {
+        match self.store_filter.as_mut() {
+            Some(port) => port.check(self.id, line, now, mem),
+            None => now,
+        }
+    }
+
     /// Commits up to `width` instructions in order.
     ///
     /// Returns `(wake, check_wait)`: the earliest cycle at which this
@@ -676,7 +665,7 @@ impl Core {
                             // PAB re-validation before the L2 write
                             // (performance mode only).
                             if !head.filter_done {
-                                let ok_at = self.store_filter.check(self.id, line, now, mem);
+                                let ok_at = self.filter_store(line, now, mem);
                                 let slot = self.window.front_mut().expect("head exists");
                                 slot.filter_done = true;
                                 if ok_at > now {
@@ -712,7 +701,7 @@ impl Core {
                         }
                         let line = head.op.data_addr.expect("store has an address").line();
                         if !head.filter_done {
-                            let ok_at = self.store_filter.check(self.id, line, now, mem);
+                            let ok_at = self.filter_store(line, now, mem);
                             let slot = self.window.front_mut().expect("head exists");
                             slot.filter_done = true;
                             if ok_at > now {
@@ -1007,9 +996,14 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::testing::FixedDelayGate;
+    use crate::channel::{PairChannel, Side};
+    use crate::pab::Pab;
+    use mmm_types::config::{PabConfig, PabLookup};
     use mmm_types::VmId;
-    use mmm_workload::{Benchmark, OpStream};
+    use mmm_workload::{AddressLayout, Benchmark, OpStream};
+    use std::cell::RefCell;
+    use std::ops::Range;
+    use std::rc::Rc;
 
     fn machine() -> (Core, MemorySystem) {
         let cfg = SystemConfig::default();
@@ -1028,6 +1022,44 @@ mod tests {
     fn run(core: &mut Core, mem: &mut MemorySystem, cycles: u64) {
         for now in 0..cycles {
             core.tick(now, mem);
+        }
+    }
+
+    /// Couples `core` and `partner` around a fresh pair channel, as a
+    /// Reunion pair does: `core` runs `ctx` coherently, `partner` runs
+    /// its fork incoherently, and each commits through its side's gate.
+    fn couple(
+        core: &mut Core,
+        partner: &mut Core,
+        mut ctx: ExecContext,
+    ) -> Rc<RefCell<PairChannel>> {
+        let cfg = SystemConfig::default();
+        let channel = Rc::new(RefCell::new(PairChannel::new(cfg.reunion, ctx.seq())));
+        let fork = ctx.fork();
+        core.set_context(ctx);
+        core.set_gate(Some(PairGate::new(Rc::clone(&channel), Side::Vocal)));
+        partner.set_context(fork);
+        partner.set_coherent(false);
+        partner.set_gate(Some(PairGate::new(Rc::clone(&channel), Side::Mute)));
+        channel
+    }
+
+    /// Ticks a coupled pair through `cycles`, healing the partner's
+    /// stale lines after every cycle as the pair service does.
+    fn run_pair(
+        core: &mut Core,
+        partner: &mut Core,
+        channel: &RefCell<PairChannel>,
+        mem: &mut MemorySystem,
+        cycles: Range<u64>,
+    ) {
+        for now in cycles {
+            core.tick(now, mem);
+            partner.tick(now, mem);
+            let (heals, _) = channel.borrow_mut().drain_service();
+            for line in heals {
+                mem.heal_line(partner.id(), line);
+            }
         }
     }
 
@@ -1071,13 +1103,9 @@ mod tests {
         run(&mut free, &mut mem_a, 100_000);
 
         let (mut gated, mut mem_b) = machine();
-        gated.set_context(ctx(3));
-        gated.set_gate(Some(Box::new(FixedDelayGate {
-            delay: 20,
-            si_delay: 20,
-            ..Default::default()
-        })));
-        run(&mut gated, &mut mem_b, 100_000);
+        let mut partner = Core::new(CoreId(1), &SystemConfig::default());
+        let channel = couple(&mut gated, &mut partner, ctx(3));
+        run_pair(&mut gated, &mut partner, &channel, &mut mem_b, 0..100_000);
 
         assert!(
             gated.stats().commits() < free.stats().commits(),
@@ -1210,34 +1238,26 @@ mod tests {
 
     #[test]
     fn store_filter_delay_slows_commits() {
-        use crate::filter::StoreFilter;
-        use mmm_types::LineAddr;
-
-        struct SlowFilter;
-        impl StoreFilter for SlowFilter {
-            fn check(
-                &mut self,
-                _core: CoreId,
-                _line: LineAddr,
-                now: Cycle,
-                _mem: &mut MemorySystem,
-            ) -> Cycle {
-                now + 25
-            }
-        }
-
         let (mut plain, mut mem_a) = machine();
         plain.set_context(ctx(6));
         run(&mut plain, &mut mem_a, 100_000);
 
         let (mut filtered, mut mem_b) = machine();
         filtered.set_context(ctx(6));
-        filtered.set_store_filter(crate::filter::Filter::Dyn(Box::new(SlowFilter)));
+        let pab = Pab::new(PabConfig {
+            lookup: PabLookup::Serial,
+            serial_latency: 25,
+            ..PabConfig::default()
+        });
+        filtered.set_store_filter(Some(PabPort::new(
+            Rc::new(RefCell::new(pab)),
+            AddressLayout::new(),
+        )));
         run(&mut filtered, &mut mem_b, 100_000);
 
         assert!(
             filtered.stats().commits() < plain.stats().commits(),
-            "a 25-cycle store filter must cost throughput: {} !< {}",
+            "a 25-cycle serial PAB lookup must cost throughput: {} !< {}",
             filtered.stats().commits(),
             plain.stats().commits()
         );
@@ -1251,15 +1271,15 @@ mod tests {
         run(&mut core, &mut mem, 30_000);
         // No gate: everything unprotected.
         assert_eq!(core.stats().commits_unprotected, core.stats().commits());
-        // Install a permissive gate: subsequent commits are covered.
-        // (Squash first: in-flight ops were never published to the
-        // new gate and could not be released by it.)
-        core.squash(30_000);
+        // Couple a partner: subsequent commits are covered. (Taking
+        // the context squashes first: in-flight ops were never
+        // published to the new channel and could not be released by
+        // it.)
+        let taken = core.take_context(30_000).expect("context present");
         let before = core.stats().commits();
-        core.set_gate(Some(Box::new(FixedDelayGate::default())));
-        for now in 30_000..60_000 {
-            core.tick(now, &mut mem);
-        }
+        let mut partner = Core::new(CoreId(1), &SystemConfig::default());
+        let channel = couple(&mut core, &mut partner, taken);
+        run_pair(&mut core, &mut partner, &channel, &mut mem, 30_000..60_000);
         let covered = core.stats().commits() - before;
         assert!(covered > 0);
         assert_eq!(

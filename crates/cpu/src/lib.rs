@@ -11,9 +11,10 @@
 //! coherently (vocal / performance mode) or incoherently (mute), and
 //! whether commits must pass Reunion's fingerprint check, is injected
 //! by the `mmm-reunion` and `mmm-core` crates through
-//! [`gate::CommitGate`] and [`core::Core::set_coherent`]. This keeps
-//! the DMR machinery in one place and lets the same core model serve
-//! every configuration in the paper's evaluation.
+//! [`gate::PairGate`], [`pab::PabPort`] and
+//! [`core::Core::set_coherent`]. This keeps the DMR machinery in one
+//! place and lets the same core model serve every configuration in
+//! the paper's evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +23,6 @@ pub mod channel;
 pub mod context;
 pub mod core;
 pub mod feeder;
-pub mod filter;
 pub mod gate;
 pub mod pab;
 pub mod phase;
@@ -33,9 +33,8 @@ pub use channel::{PairChannel, PairStats, Side};
 pub use context::ExecContext;
 pub use core::{Boundary, Core};
 pub use feeder::OpFeeder;
-pub use filter::{Filter, PabPort, StoreFilter};
-pub use gate::{CommitGate, Gate, PairGate};
-pub use pab::{Pab, PabStats};
+pub use gate::PairGate;
+pub use pab::{Pab, PabPort, PabStats};
 pub use phase::PhaseTracker;
 pub use stats::CoreStats;
 pub use tlb::Tlb;

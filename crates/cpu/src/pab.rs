@@ -21,10 +21,14 @@
 //! Assistance Table, which is system-software state owned by
 //! `mmm-core` — the permission verdict is computed there.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use mmm_mem::{CacheLine, MemorySystem, Mosi, SetAssocCache};
 use mmm_types::config::{CacheGeometry, PabConfig, PabLookup};
 use mmm_types::stats::Log2Histogram;
 use mmm_types::{CoreId, Cycle, LineAddr};
+use mmm_workload::AddressLayout;
 
 /// Counters accumulated by one PAB.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -135,6 +139,41 @@ impl Pab {
     /// Resident entries (diagnostics).
     pub fn occupancy(&self) -> usize {
         self.entries.occupancy()
+    }
+}
+
+/// A performance-mode core's port to its PAB: the store filter.
+///
+/// Each store consults the core's port at commit time and is delayed
+/// until the returned cycle (serial lookup, or a miss fetching its PAT
+/// line through the hierarchy). Reliable-mode and DMR cores have no
+/// port. Permission *verdicts* are not routed through here: fault-free
+/// instruction streams only store to pages they own, and the wild
+/// stores of injected faults are checked by `mmm-core`'s fault
+/// injector, which consults the PAB directly.
+pub struct PabPort {
+    pab: Rc<RefCell<Pab>>,
+    layout: AddressLayout,
+}
+
+impl PabPort {
+    /// Connects a core to `pab`.
+    pub fn new(pab: Rc<RefCell<Pab>>, layout: AddressLayout) -> Self {
+        Self { pab, layout }
+    }
+
+    /// Cycle at which a store to `line` may write the L2: maps the
+    /// line to the PAT backing line covering its page and times the
+    /// PAB lookup. One shared-handle borrow per store.
+    pub(crate) fn check(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        now: Cycle,
+        mem: &mut MemorySystem,
+    ) -> Cycle {
+        let backing = self.layout.pat_line_for(line.page());
+        self.pab.borrow_mut().filter_store(core, backing, mem, now)
     }
 }
 

@@ -21,7 +21,7 @@
 //! directory or remote-cache state, fill their private hierarchy with
 //! lines marked `coherent = false`, and keep stores entirely local.
 
-use mmm_trace::{ProfPhase, Profiler};
+use mmm_trace::{Observers, ProfPhase, Profiler};
 use mmm_types::config::SystemConfig;
 use mmm_types::{CoreId, Cycle, LineAddr};
 
@@ -107,10 +107,10 @@ impl MemorySystem {
         }
     }
 
-    /// Installs a self-profiler handle so request handling attributes
+    /// Installs the bundle's profiler so request handling attributes
     /// its host cost to [`ProfPhase::Mem`]. Purely observational.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
+    pub fn observe(&mut self, obs: &Observers) {
+        self.profiler = obs.profiler.clone();
     }
 
     /// Applies the optional L3-bank contention model to a request for

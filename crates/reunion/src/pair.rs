@@ -16,9 +16,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use mmm_cpu::{Core, ExecContext, Gate, PairGate};
+use mmm_cpu::{Core, ExecContext, PairGate};
 use mmm_mem::MemorySystem;
-use mmm_trace::{Event, Forensics, ProfPhase, Profiler, Tracer};
+use mmm_trace::{Event, Forensics, Observers, ProfPhase, Profiler, Tracer};
 use mmm_types::config::ReunionConfig;
 use mmm_types::{CoreId, Cycle};
 
@@ -56,16 +56,10 @@ impl DmrPair {
         let mute_ctx = ctx.fork();
         vocal.set_context(ctx);
         vocal.set_coherent(true);
-        vocal.set_gate_kind(Some(Gate::Pair(PairGate::new(
-            Rc::clone(&channel),
-            Side::Vocal,
-        ))));
+        vocal.set_gate(Some(PairGate::new(Rc::clone(&channel), Side::Vocal)));
         mute.set_context(mute_ctx);
         mute.set_coherent(false);
-        mute.set_gate_kind(Some(Gate::Pair(PairGate::new(
-            Rc::clone(&channel),
-            Side::Mute,
-        ))));
+        mute.set_gate(Some(PairGate::new(Rc::clone(&channel), Side::Mute)));
         let dirty = channel.borrow().service_flag();
         DmrPair {
             vocal: vocal.id(),
@@ -78,22 +72,15 @@ impl DmrPair {
         }
     }
 
-    /// Installs a tracer handle: subsequent fingerprint mismatches are
-    /// emitted as [`Event::CheckMismatch`] records.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Installs a self-profiler handle so pair service attributes its
-    /// host cost to [`ProfPhase::Pair`]. Purely observational.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
-    }
-
-    /// Installs a fault-forensics handle: serviced fingerprint
-    /// mismatches are stamped into the vocal core's black-box ring.
-    pub fn set_forensics(&mut self, forensics: Forensics) {
-        self.forensics = forensics;
+    /// Installs the observability handles the pair probes: serviced
+    /// fingerprint mismatches are emitted to the tracer as
+    /// [`Event::CheckMismatch`] records and stamped into the vocal
+    /// core's forensics black-box ring, and pair service attributes
+    /// its host cost to the profiler's [`ProfPhase::Pair`].
+    pub fn observe(&mut self, obs: &Observers) {
+        self.tracer = obs.tracer.clone();
+        self.profiler = obs.profiler.clone();
+        self.forensics = obs.forensics.clone();
     }
 
     /// The vocal core's id.

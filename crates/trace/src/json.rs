@@ -46,6 +46,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -193,10 +194,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The reader
+/// recurses once per level, so without a bound a long enough run of
+/// `[` overflows the stack; the project's exports nest a handful of
+/// levels.
+const MAX_DEPTH: u32 = 256;
+
 /// Recursive-descent JSON reader over the raw bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: u32,
 }
 
 impl Parser<'_> {
@@ -234,8 +243,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
@@ -438,6 +461,26 @@ mod tests {
             Json::parse("\"\\u0041\"").expect("unicode escape"),
             Json::str("A")
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!(
+            "{}{}",
+            "[".repeat(MAX_DEPTH as usize),
+            "]".repeat(MAX_DEPTH as usize)
+        );
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH as usize + 1),
+            "]".repeat(MAX_DEPTH as usize + 1)
+        );
+        assert!(Json::parse(&deep)
+            .unwrap_err()
+            .contains("nesting deeper than"));
+        // Far past the bound: an error, not a stack overflow.
+        assert!(Json::parse(&"[{\"a\":".repeat(1 << 20)).is_err());
     }
 
     #[test]

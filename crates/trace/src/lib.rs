@@ -1,6 +1,6 @@
 //! `mmm-trace`: the simulator's observability layer.
 //!
-//! Three pieces, usable independently:
+//! Its pieces, usable independently:
 //!
 //! * **Event tracing** — a typed, cycle-stamped [`Event`] taxonomy
 //!   recorded through a cheap [`Tracer`] handle into a bounded
@@ -26,6 +26,9 @@
 //!   the terminal verdict, and — on an escape — a black-box dump of
 //!   the struck core's recent events. Off by default and free when
 //!   off; exported as `*.faults.jsonl` and Perfetto async spans.
+//! * **One bundle** — [`Observers`] carries the tracer, sampler,
+//!   profiler and forensics handles together, so a machine attaches
+//!   and distributes them in one step. Its default is all off.
 //! * **Exporters** — a hand-rolled [`json`] serializer (the build is
 //!   offline; no serde) feeding [`chrome_trace`] (Perfetto-viewable
 //!   per-core timelines) and JSONL report lines.
@@ -68,3 +71,31 @@ pub use metrics::MetricsRegistry;
 pub use profile::{ProfPhase, ProfScope, ProfileReport, Profiler};
 pub use sampler::{MetricsSample, MetricsSeries, Sampler};
 pub use sink::{NullSink, RingSink, TraceSink, Tracer};
+
+/// The simulator's observability bundle: one of each handle.
+///
+/// A machine attaches one bundle and hands it to its components; each
+/// component keeps clones of only the handles it probes. The default
+/// is all off, and every handle stays one branch per probe when off.
+///
+/// ```
+/// use mmm_trace::{Observers, Profiler, Tracer};
+///
+/// let obs = Observers {
+///     tracer: Tracer::ring(1 << 12),
+///     profiler: Profiler::enabled(),
+///     ..Observers::default()
+/// };
+/// assert!(obs.tracer.is_on() && !obs.sampler.is_on());
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Observers {
+    /// Cycle-stamped event tracing.
+    pub tracer: Tracer,
+    /// The metrics flight recorder.
+    pub sampler: Sampler,
+    /// The host-time self-profiler.
+    pub profiler: Profiler,
+    /// The fault-lifecycle recorder.
+    pub forensics: Forensics,
+}

@@ -216,7 +216,9 @@ impl Trace {
         let vcpu = VcpuId(u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes")));
         let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
         let mut pos = 16;
-        let mut ops = Vec::with_capacity(count.min(1 << 24));
+        // Reserve no more than the bytes can hold (a record is at least
+        // 10 bytes), whatever the header claims.
+        let mut ops = Vec::with_capacity(count.min((bytes.len() - 16) / 10));
         for index in 0..count {
             let head = take(bytes, pos, 2)?;
             let (flags, exec_latency) = (head[0], head[1]);

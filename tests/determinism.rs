@@ -96,7 +96,7 @@ fn canonical_json(mut r: mixed_mode_multicore::mmm::SystemReport) -> String {
 #[test]
 fn report_is_invariant_across_threads_and_tracing() {
     use mixed_mode_multicore::mmm::Experiment;
-    use mixed_mode_multicore::trace::Tracer;
+    use mixed_mode_multicore::trace::{Observers, Tracer};
 
     let mut e = Experiment::default();
     e.cfg.virt.timeslice_cycles = 120_000;
@@ -137,7 +137,10 @@ fn report_is_invariant_across_threads_and_tracing() {
     // Tracing attached: identical reports, merely observed.
     for (w, expect) in modes.iter().zip(&baseline) {
         let mut sys = System::new(&e.cfg, *w, e.seeds[0]).unwrap();
-        sys.attach_tracer(Tracer::ring(1 << 12));
+        sys.attach(Observers {
+            tracer: Tracer::ring(1 << 12),
+            ..Observers::default()
+        });
         let r = sys.run_measured(e.warmup, e.measure);
         assert_eq!(
             canonical_json(r),

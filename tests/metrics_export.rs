@@ -15,9 +15,11 @@
 //! ```
 
 use mmm_core::{System, Workload};
-use mmm_trace::{chrome_trace_with_counters, Json, MetricsSeries, Sampler, Tracer};
+use mmm_trace::{chrome_trace_with_counters, Json, MetricsSeries, Observers, Sampler, Tracer};
 use mmm_types::SystemConfig;
 use mmm_workload::Benchmark;
+
+mod common;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -33,10 +35,13 @@ fn build() -> (System, MetricsSeries) {
     let cfg = SystemConfig::default();
     let mut sys = System::new(&cfg, Workload::ReunionDmr(Benchmark::Oltp), 1)
         .expect("golden metrics system builds");
-    sys.attach_tracer(Tracer::ring(1 << 14));
-    sys.attach_sampler(Sampler::every(INTERVAL));
+    sys.attach(Observers {
+        tracer: Tracer::ring(1 << 14),
+        sampler: Sampler::every(INTERVAL),
+        ..Observers::default()
+    });
     sys.run(HORIZON);
-    let series = sys.sampler().series().expect("sampler attached");
+    let series = sys.observers().sampler.series().expect("sampler attached");
     (sys, series)
 }
 
@@ -99,7 +104,8 @@ fn series_has_every_boundary_and_the_flagship_metrics() {
 #[test]
 fn counter_tracks_are_well_formed() {
     let (sys, series) = build();
-    let doc = chrome_trace_with_counters(&sys.tracer().snapshot(), 16, sys.now(), &series);
+    let doc =
+        chrome_trace_with_counters(&sys.observers().tracer.snapshot(), 16, sys.now(), &series);
     let parsed = Json::parse(&doc).expect("trace parses");
     let events = parsed
         .get("traceEvents")
@@ -134,20 +140,5 @@ fn counter_tracks_are_well_formed() {
 /// unsampled run of the same seed are bit-identical measurements.
 #[test]
 fn sampling_does_not_change_timing() {
-    let cfg = SystemConfig::default();
-    let w = Workload::ReunionDmr(Benchmark::Oltp);
-    let run = |sampled: bool| {
-        let mut sys = System::new(&cfg, w, 5).unwrap();
-        if sampled {
-            sys.attach_sampler(Sampler::every(7_000));
-        }
-        let r = sys.run_measured(10_000, 60_000);
-        (
-            r.total_user_commits(),
-            r.cores.si_stall_cycles,
-            r.mem.c2c_transfers,
-            r.pairs.ops_compared,
-        )
-    };
-    assert_eq!(run(false), run(true), "sampling altered simulated timing");
+    common::assert_observers_do_not_change_timing(&["sampler"]);
 }

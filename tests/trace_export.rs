@@ -15,9 +15,11 @@
 //! ```
 
 use mmm_core::{MixedPolicy, System, Workload};
-use mmm_trace::{chrome_trace, Tracer};
+use mmm_trace::{chrome_trace, Observers, Tracer};
 use mmm_types::SystemConfig;
 use mmm_workload::Benchmark;
+
+mod common;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/trace_golden.json");
 
@@ -36,9 +38,12 @@ fn build_trace() -> String {
         1,
     )
     .expect("golden trace system builds");
-    sys.attach_tracer(Tracer::ring(1 << 14));
+    sys.attach(Observers {
+        tracer: Tracer::ring(1 << 14),
+        ..Observers::default()
+    });
     sys.run(12_000);
-    chrome_trace(&sys.tracer().snapshot(), 16, sys.now())
+    chrome_trace(&sys.observers().tracer.snapshot(), 16, sys.now())
 }
 
 #[test]
@@ -72,68 +77,19 @@ fn trace_json_matches_golden() {
     }
 }
 
-/// Tracing must be purely observational: a traced run and an untraced
-/// run of the same seed produce bit-identical measurements.
+/// The tracer and the forensics recorder, each attached alone, leave
+/// the simulated timing of both observer workloads untouched.
 #[test]
 fn tracing_does_not_change_timing() {
-    let cfg = SystemConfig::default();
-    let w = Workload::Consolidated {
-        bench: Benchmark::Apache,
-        policy: MixedPolicy::MmmTp,
-    };
-    let run = |traced: bool| {
-        let mut sys = System::new(&cfg, w, 5).unwrap();
-        if traced {
-            sys.attach_tracer(Tracer::ring(4096));
-        }
-        let r = sys.run_measured(10_000, 60_000);
-        (
-            r.total_user_commits(),
-            r.cores.si_stall_cycles,
-            r.mem.c2c_transfers,
-            r.pairs.ops_compared,
-        )
-    };
-    assert_eq!(run(false), run(true), "tracing altered simulated timing");
+    common::assert_observers_do_not_change_timing(&["tracer", "forensics"]);
 }
 
-/// The self-profiler obeys the same "free when off, observational
-/// when on" discipline as tracing: a profiled run and an unprofiled
-/// run of the same seed produce bit-identical measurements (the
-/// profiler reads only the host clock), and the profiled run carries
-/// a phase attribution that tiles the measured window exactly.
+/// The self-profiler, alone and with every other handle, leaves the
+/// simulated timing untouched; its profile tiles the measured window
+/// and reaches the pairs, the memory system and op generation.
 #[test]
 fn profiling_does_not_change_timing() {
-    use mmm_trace::Profiler;
-
-    let cfg = SystemConfig::default();
-    let w = Workload::Consolidated {
-        bench: Benchmark::Apache,
-        policy: MixedPolicy::MmmTp,
-    };
-    let run = |profiled: bool| {
-        let mut sys = System::new(&cfg, w, 5).unwrap();
-        if profiled {
-            sys.attach_profiler(Profiler::enabled());
-        }
-        let r = sys.run_measured(10_000, 60_000);
-        if profiled {
-            let prof = r.profile.as_ref().expect("profiled run has a profile");
-            let nanos_sum: u64 = prof.phase_nanos.iter().map(|&(_, n)| n).sum();
-            assert_eq!(nanos_sum, prof.total_nanos, "phases tile the window");
-            assert!(prof.total_nanos > 0, "a measured window took host time");
-            assert_eq!(prof.advanced_cycles, 60_000, "every cycle accounted");
-        } else {
-            assert!(r.profile.is_none(), "no profile without a profiler");
-        }
-        (
-            r.total_user_commits(),
-            r.cores.si_stall_cycles,
-            r.mem.c2c_transfers,
-            r.pairs.ops_compared,
-        )
-    };
-    assert_eq!(run(false), run(true), "profiling altered simulated timing");
+    common::assert_observers_do_not_change_timing(&["profiler", "all"]);
 }
 
 #[test]
